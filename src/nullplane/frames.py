@@ -61,8 +61,11 @@ class ProjParam:
         t1 = _eval_coeffs(self.t1, pts, 0)[0]
         vals = np.stack([t0, t1])
         scale = np.max(np.abs(vals), axis=0)
-        if np.any(scale < 1e-12):
-            raise DegenerateParam("both projective components vanish at a sampled point")
+        bad = np.flatnonzero(scale < 1e-12)
+        if bad.size:
+            raise DegenerateParam(
+                f"both projective components vanish at a sampled point [at point {pts[bad[0]].tolist()}]"
+            )
         return vals
 
 
@@ -134,7 +137,7 @@ def dist_H(t: ProjParam, tet: Tetrad) -> Distribution:
 def metric_pairings(spec: MetricSpec, vectors: Sequence, p) -> np.ndarray:
     """Gram matrix g(X_i, X_j) of expression vector fields at the point(s)."""
     pts, single = as_points(p)
-    mj = metric_jet(spec, pts, order=2)
+    mj = metric_jet(spec, pts, order=0)
     vals = np.stack([[_eval_coeffs(comp, pts, 0)[0] for comp in vec] for vec in vectors])  # (k,4,P)
     gram = np.einsum("iap,pab,jbp->ijp", vals, mj.g_val, vals)
     return gram[..., 0] if single else gram

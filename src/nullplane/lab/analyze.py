@@ -170,7 +170,6 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
             wasd_coeffs = np.stack(
                 [f.coeffs for f in weyl_quartic(wpack, walker_tetrad(wp), "ASD")]
             )
-        tvals = cfg.t_field.values(pts)
         c2_raw = wasd_coeffs[:, 2]
         c2_adapted = np.array(
             [_adapted_middle_coeff(wasd_coeffs[p], tvals[0, p], tvals[1, p]) for p in range(pts.shape[0])]

@@ -5,6 +5,9 @@ The volume form is eps_abcd = s * sqrt(det g) * [abcd] in coordinate order
 walker tetrad is a +1 eigenvector of the star operator ("canonical
 orientation").  In this neutral signature star o star = +1 on bivectors.
 
+Everything here acts on values at the sampled points: tensors of shape
+(P, 4, 4, 4, 4) and bivectors of shape (P, 4, 4).
+
 The star acting on the left or on the right index pair of the Weyl tensor
 must agree; ``weyl_split`` asserts this instead of silently choosing one.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CalibrationFailure
-from ..exprkit.jets import mul_coeffs, sqrt_coeffs, truncate_coeffs, _eval_coeffs
+from ..exprkit.jets import _eval_coeffs
 
 
 def _levi_civita4() -> np.ndarray:
@@ -39,46 +42,25 @@ _LC4 = _levi_civita4()
 
 @dataclass
 class DualOperator:
-    """Star operator data at a point batch (jets of the given order)."""
+    """Star operator values at a point batch."""
 
     sign: float
-    eps_mixed: np.ndarray  # eps^{ef}_{cd} with first pair raised, (4,4,4,4,M,P)
-    order: int
-    npoints: int
-    single: bool
-
-    @property
-    def eps_mixed_val(self) -> np.ndarray:  # (P,4,4,4,4)
-        return np.moveaxis(self.eps_mixed[..., 0, :], -1, 0)
+    eps_mixed: np.ndarray  # eps^{ef}_{cd} with first pair raised, (P,4,4,4,4)
 
     def star_bivector(self, biv: np.ndarray) -> np.ndarray:
         """Star of contravariant bivector values, shapes (4,4) or (P,4,4)."""
         single = biv.ndim == 2
         b = biv[None] if single else biv
-        out = 0.5 * np.einsum("pabcd,pcd->pab", self.eps_mixed_val, b)
+        out = 0.5 * np.einsum("pabcd,pcd->pab", self.eps_mixed, b)
         return out[0] if single else out
 
-    def star_right(self, tensor: np.ndarray, order: int) -> np.ndarray:
-        """(T*)_abcd = (1/2) T_abef eps^{ef}_cd on stacked jets."""
-        eps = truncate_coeffs(self.eps_mixed, self.order, order)
-        out = np.zeros_like(truncate_coeffs(tensor, order, order))
-        for e in range(4):
-            for f in range(4):
-                out = out + mul_coeffs(
-                    tensor[:, :, e, f][:, :, None, None], eps[e, f][None, None], order, order, order
-                )
-        return 0.5 * out
+    def star_right(self, tensor: np.ndarray) -> np.ndarray:
+        """(T*)_abcd = (1/2) T_abef eps^{ef}_cd on (P,4,4,4,4) values."""
+        return 0.5 * np.einsum("pabef,pefcd->pabcd", tensor, self.eps_mixed)
 
-    def star_left(self, tensor: np.ndarray, order: int) -> np.ndarray:
-        """(*T)_abcd = (1/2) eps^{ef}_ab T_efcd on stacked jets."""
-        eps = truncate_coeffs(self.eps_mixed, self.order, order)
-        out = np.zeros_like(truncate_coeffs(tensor, order, order))
-        for e in range(4):
-            for f in range(4):
-                out = out + mul_coeffs(
-                    eps[e, f][:, :, None, None], tensor[e, f][None, None], order, order, order
-                )
-        return 0.5 * out
+    def star_left(self, tensor: np.ndarray) -> np.ndarray:
+        """(*T)_abcd = (1/2) eps^{ef}_ab T_efcd on (P,4,4,4,4) values."""
+        return 0.5 * np.einsum("pefab,pefcd->pabcd", self.eps_mixed, tensor)
 
 
 def _wedge_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,28 +70,15 @@ def _wedge_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def volume_and_duals(mj, tetrad) -> DualOperator:
-    """Orientation-calibrated dual operator for the metric jet.
+    """Orientation-calibrated dual operator at the metric jet's points.
 
     The sign is fixed by requiring star(l ^ mt) = +(l ^ mt) at every
     sampled point; failure at any point raises CalibrationFailure.
     """
-    order = mj.order
-    sqrt_det = sqrt_coeffs(mj.det, order)
-    eps_low = _LC4[:, :, :, :, None, None] * sqrt_det[None, None, None, None]
-    half = np.zeros_like(eps_low)
-    for e in range(4):
-        half[:, e] = sum(
-            mul_coeffs(mj.g_inv[:, k][:, None, None], eps_low[k, e][None], order, order, order)
-            for k in range(4)
-        )
-    eps_mixed = np.zeros_like(eps_low)
-    for f in range(4):
-        eps_mixed[:, f] = sum(
-            mul_coeffs(mj.g_inv[f, k][None, None, None], half[:, k], order, order, order)
-            for k in range(4)
-        )
-
-    dual = DualOperator(sign=1.0, eps_mixed=eps_mixed, order=order, npoints=mj.npoints, single=mj.single)
+    g_inv = mj.g_inv_val
+    sqrt_det = np.sqrt(mj.det[0])
+    eps_mixed = sqrt_det[:, None, None, None, None] * np.einsum("pak,pbl,klcd->pabcd", g_inv, g_inv, _LC4)
+    dual = DualOperator(sign=1.0, eps_mixed=eps_mixed)
 
     lvals = np.stack([_eval_coeffs(c, mj.points, 0)[0] for c in tetrad.l])
     mtvals = np.stack([_eval_coeffs(c, mj.points, 0)[0] for c in tetrad.mt])
@@ -123,25 +92,19 @@ def volume_and_duals(mj, tetrad) -> DualOperator:
     if np.all(res_plus < 1e-8):
         return dual
     if np.all(res_minus < 1e-8):
-        dual.sign = -1.0
-        dual.eps_mixed = -eps_mixed
-        return dual
+        return DualOperator(sign=-1.0, eps_mixed=-eps_mixed)
     raise CalibrationFailure("l ^ mt is not a star eigenvector; tetrad or metric is inconsistent")
 
 
 def weyl_split(pack, dual: DualOperator):
-    """Self-dual and anti-self-dual Weyl parts as stacked jets.
+    """Self-dual and anti-self-dual Weyl parts as (P,4,4,4,4) values.
 
     Asserts that the star acting on the left and on the right index pair
     produce the same split (tolerance relative to the Weyl scale).
     """
-    order = pack.order
-    c = pack.weyl
-    c_star_r = dual.star_right(c, order)
-    c_star_l = dual.star_left(c, order)
-    scale = max(np.max(np.abs(c[..., 0, :])), 1e-30)
-    if np.max(np.abs(c_star_r[..., 0, :] - c_star_l[..., 0, :])) > 1e-9 * scale:
+    c = pack.weyl_val
+    c_star_r = dual.star_right(c)
+    scale = max(np.max(np.abs(c)), 1e-30)
+    if np.max(np.abs(c_star_r - dual.star_left(c))) > 1e-9 * scale:
         raise CalibrationFailure("left and right duals disagree on the Weyl tensor")
-    c_plus = 0.5 * (c + c_star_r)
-    c_minus = 0.5 * (c - c_star_r)
-    return c_plus, c_minus
+    return 0.5 * (c + c_star_r), 0.5 * (c - c_star_r)

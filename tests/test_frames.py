@@ -195,6 +195,12 @@ def test_degenerate_param():
         ProjParam.of(parse_expr("u - 1"), parse_expr("0")).values(np.array([[1.0, 1, 1, 1]]))
 
 
+def test_degenerate_param_names_point():
+    pts = np.array([[2.0, 0.5, 0.75, 1.25], [1.0, 0.5, 0.75, 1.25]])
+    with pytest.raises(DegenerateParam, match=r"\[at point \[1\.0, 0\.5, 0\.75, 1\.25\]\]"):
+        ProjParam.of(parse_expr("u - 1"), parse_expr("0")).values(pts)
+
+
 # ---------------------------------------------------------------------------
 # residuals
 

@@ -201,6 +201,26 @@ def test_star_squared_identity(walker_corpus):
         assert np.max(np.abs(twice - biv)) < 1e-10 * np.max(np.abs(biv))
 
 
+def test_dual_sign_flips_with_swapped_tetrad(walker_corpus):
+    specs, pts = walker_corpus
+    spec = specs[0]
+    tet = walker_tetrad(spec)
+    swapped = Tetrad(l=tet.l, n=tet.n, m=tet.mt, mt=tet.m)
+    lv = np.array([eval_scalar(c_, pts) for c_ in tet.l])
+    mv = np.array([eval_scalar(c_, pts) for c_ in tet.m])
+    biv = np.einsum("ip,jp->pij", lv, mv)
+    biv = biv - biv.transpose(0, 2, 1)  # l ^ m, the swapped tetrad's l ^ mt
+    for order in (2, 3):
+        dual = volume_and_duals(metric_jet(spec, pts, order), swapped)
+        assert dual.sign == -1.0
+        assert np.max(np.abs(dual.star_bivector(biv) - biv)) < 1e-10 * np.max(np.abs(biv))
+        rng = np.random.default_rng(order)
+        rand = rng.normal(size=(len(pts), 4, 4))
+        rand = rand - rand.transpose(0, 2, 1)
+        twice = dual.star_bivector(dual.star_bivector(rand))
+        assert np.max(np.abs(twice - rand)) < 1e-10 * np.max(np.abs(rand))
+
+
 def test_dual_calibration_failure_on_broken_tetrad():
     mj = metric_jet(FLAT, PTS, 2)
     broken = Tetrad(
@@ -221,11 +241,11 @@ def test_weyl_split_parts(walker_corpus):
         dual = volume_and_duals(mj, walker_tetrad(spec))
         cp, cm = weyl_split(pack, dual)
         scale = max(np.max(np.abs(pack.weyl_val)), 1e-30)
-        assert np.max(np.abs((cp + cm - pack.weyl)[..., 0, :])) < 1e-12 * scale
-        sp = dual.star_right(cp, pack.order)
-        sm = dual.star_right(cm, pack.order)
-        assert np.max(np.abs(sp[..., 0, :] - cp[..., 0, :])) < 1e-9 * scale
-        assert np.max(np.abs(sm[..., 0, :] + cm[..., 0, :])) < 1e-9 * scale
+        assert np.max(np.abs(cp + cm - pack.weyl_val)) < 1e-12 * scale
+        sp = dual.star_right(cp)
+        sm = dual.star_right(cm)
+        assert np.max(np.abs(sp - cp)) < 1e-9 * scale
+        assert np.max(np.abs(sm + cm)) < 1e-9 * scale
 
 
 def test_flat_weyl_split_zero():
@@ -233,8 +253,8 @@ def test_flat_weyl_split_zero():
     pack = curvature(mj)
     dual = volume_and_duals(mj, walker_tetrad(FLAT))
     cp, cm = weyl_split(pack, dual)
-    assert np.max(np.abs(cp[..., 0, :])) == 0.0
-    assert np.max(np.abs(cm[..., 0, :])) == 0.0
+    assert np.max(np.abs(cp)) == 0.0
+    assert np.max(np.abs(cm)) == 0.0
 
 
 def test_cross_contraction_sd_bivector_with_asd_part(walker_corpus):
@@ -249,8 +269,7 @@ def test_cross_contraction_sd_bivector_with_asd_part(walker_corpus):
     mtv = np.array([eval_scalar(c_, pts) for c_ in tet.mt])
     biv = np.einsum("ip,jp->pij", lv, mtv)
     biv = biv - biv.transpose(0, 2, 1)
-    cmv = np.moveaxis(cm[..., 0, :], -1, 0)
-    contraction = np.einsum("pabcd,pab->pcd", cmv, biv)
+    contraction = np.einsum("pabcd,pab->pcd", cm, biv)
     scale = max(np.max(np.abs(pack.weyl_val)), 1e-30)
     assert np.max(np.abs(contraction)) < 1e-10 * scale
 
