@@ -30,7 +30,7 @@ from .exprkit.ast import Expr, Num, as_expr
 from .exprkit.calculus import add_, div_, mul_, neg_
 from .exprkit.jets import as_points, deriv_coeffs, _eval_coeffs
 from .tensor.curvature import christoffel
-from .tensor.metric import CONFORMAL_WALKER, WALKER, MetricSpec, metric_jet
+from .tensor.metric import CONFORMAL_WALKER, WALKER, MetricJet, MetricSpec, metric_jet
 
 
 @dataclass(frozen=True)
@@ -134,18 +134,22 @@ def dist_H(t: ProjParam, tet: Tetrad) -> Distribution:
 # numeric validators
 
 
+def _gram(g_val: np.ndarray, vectors: Sequence, pts: np.ndarray) -> np.ndarray:
+    """g(X_i, X_j) at the points from metric values (P,4,4); shape (k,k,P)."""
+    vals = np.stack([[_eval_coeffs(comp, pts, 0)[0] for comp in vec] for vec in vectors])  # (k,4,P)
+    return np.einsum("iap,pab,jbp->ijp", vals, g_val, vals)
+
+
 def metric_pairings(spec: MetricSpec, vectors: Sequence, p) -> np.ndarray:
     """Gram matrix g(X_i, X_j) of expression vector fields at the point(s)."""
     pts, single = as_points(p)
-    mj = metric_jet(spec, pts, order=0)
-    vals = np.stack([[_eval_coeffs(comp, pts, 0)[0] for comp in vec] for vec in vectors])  # (k,4,P)
-    gram = np.einsum("iap,pab,jbp->ijp", vals, mj.g_val, vals)
+    gram = _gram(metric_jet(spec, pts, order=0).g_val, vectors, pts)
     return gram[..., 0] if single else gram
 
 
-def tetrad_max_defect(spec: MetricSpec, tet: Tetrad, p) -> float:
+def tetrad_max_defect(mj: MetricJet, tet: Tetrad) -> float:
     """Max deviation of the ten tetrad pairings from their target values."""
-    gram = metric_pairings(spec, [tet.l, tet.n, tet.m, tet.mt], p)
+    gram = _gram(mj.g_val, [tet.l, tet.n, tet.m, tet.mt], mj.points)
     target = np.zeros_like(gram)
     target[0, 1] = target[1, 0] = 1.0
     target[2, 3] = target[3, 2] = -1.0
@@ -161,45 +165,47 @@ def totally_null_defect(spec: MetricSpec, dist: Distribution, p) -> float:
 # residual machinery
 
 
-def _generator_data(dist: Distribution, pts: np.ndarray):
-    """Values (k,4,P) and first partials (k,4,4,P) of the generators."""
+def _check_rank(vals: np.ndarray, pts: np.ndarray) -> None:
+    """Raise RankDeficient at the first point where the generator values
+    (k,4,P) do not span k dimensions."""
+    k = vals.shape[0]
+    sv = np.linalg.svd(vals.transpose(2, 1, 0), compute_uv=False)  # (P,k)
+    bad = np.flatnonzero(sv[:, k - 1] < 1e-10 * np.maximum(sv[:, 0], 1e-300))
+    if bad.size:
+        raise RankDeficient(f"generators have rank < {k} [at point {pts[bad[0]].tolist()}]")
+
+
+def _generators(dist: Distribution, pts: np.ndarray) -> tuple:
+    """One evaluation of the generators at order 1, shared by all residuals:
+    values (k,4,P), first partials (k, comp, deriv, P), Euclidean norms
+    (k,P), and the projector (P,4,4) onto the Euclidean complement of the
+    span, after a rank check."""
     jets = np.stack([[_eval_coeffs(comp, pts, 1) for comp in vec] for vec in dist.generators])
     vals = jets[..., 0, :]
-    # (k, comp, deriv, P)
-    partials = deriv_coeffs(jets, 1)[..., 0, :]
-    return vals, partials
+    _check_rank(vals, pts)
+    q, _ = np.linalg.qr(vals.transpose(2, 1, 0))  # (P,4,k)
+    proj_off = np.eye(4) - q @ q.swapaxes(1, 2)
+    return vals, deriv_coeffs(jets, 1)[..., 0, :], np.linalg.norm(vals, axis=1), proj_off
 
 
-def _offspan_residuals(vals: np.ndarray, candidates: np.ndarray, denoms: np.ndarray) -> np.ndarray:
+def _offspan_residuals(proj_off: np.ndarray, candidates: np.ndarray, denoms: np.ndarray) -> np.ndarray:
     """Per-point max over candidates of |off-span part| / denominator.
 
-    vals: (k,4,P) spanning values; candidates: (m,4,P); denoms: (m,P).
+    candidates: (m,4,P); denoms: (m,P).
     Denominators are generator-norm products rather than candidate norms:
     the off-span component of brackets and covariant derivatives scales
     exactly like those products under positive rescaling of the
     generators, which makes the residual projective-parameter invariant.
     """
+    off = np.linalg.norm(candidates.transpose(2, 0, 1) @ proj_off.swapaxes(1, 2), axis=2)  # (P,m)
+    return np.max(off / np.maximum(denoms.T, 1e-300), axis=1)
+
+
+def _frobenius_batch(gen: tuple) -> np.ndarray:
+    vals, partials, norms, proj_off = gen
     k = vals.shape[0]
-    npts = vals.shape[2]
-    out = np.zeros(npts)
-    for p in range(npts):
-        vmat = vals[:, :, p].T  # (4, k)
-        sv = np.linalg.svd(vmat, compute_uv=False)
-        if sv[k - 1] < 1e-10 * max(sv[0], 1e-300):
-            raise RankDeficient(f"generators have rank < {k} at point {p}")
-        q, _ = np.linalg.qr(vmat)
-        proj_off = np.eye(4) - q @ q.T
-        off = np.linalg.norm(candidates[:, :, p] @ proj_off.T, axis=1)
-        out[p] = np.max(off / np.maximum(denoms[:, p], 1e-300))
-    return out
-
-
-def _frobenius_batch(dist: Distribution, pts: np.ndarray) -> np.ndarray:
-    vals, partials = _generator_data(dist, pts)
-    k = dist.rank
     if k == 1:
-        return np.zeros(pts.shape[0])
-    norms = np.linalg.norm(vals, axis=1)  # (k, P)
+        return np.zeros(vals.shape[2])
     brackets, denoms = [], []
     for i in range(k):
         for j in range(i + 1, k):
@@ -209,51 +215,48 @@ def _frobenius_batch(dist: Distribution, pts: np.ndarray) -> np.ndarray:
                 - np.einsum("bp,abp->ap", vals[j], partials[i])
             )
             denoms.append(norms[i] * norms[j])
-    return _offspan_residuals(vals, np.stack(brackets), np.stack(denoms))
+    return _offspan_residuals(proj_off, np.stack(brackets), np.stack(denoms))
 
 
-def _autoparallel_batch(spec: MetricSpec, dist: Distribution, pts: np.ndarray) -> np.ndarray:
-    mj = metric_jet(spec, pts, order=2)
-    gamma = christoffel(mj).gamma[..., 0, :]  # (a,b,c,P)
-    vals, partials = _generator_data(dist, pts)
-    norms = np.linalg.norm(vals, axis=1)
+def _autoparallel_batch(gen: tuple, gamma: np.ndarray) -> np.ndarray:
+    """gamma: connection values Gamma^a_bc, shape (4,4,4,P)."""
+    vals, partials, norms, proj_off = gen
     cands, denoms = [], []
-    for i in range(dist.rank):
-        for j in range(dist.rank):
+    for i in range(vals.shape[0]):
+        for j in range(vals.shape[0]):
             # (nabla_{X_i} X_j)^a = X_i^b d_b X_j^a + Gamma^a_bc X_i^b X_j^c
             cands.append(
                 np.einsum("bp,abp->ap", vals[i], partials[j])
                 + np.einsum("abcp,bp,cp->ap", gamma, vals[i], vals[j])
             )
             denoms.append(norms[i] * norms[j])
-    return _offspan_residuals(vals, np.stack(cands), np.stack(denoms))
+    return _offspan_residuals(proj_off, np.stack(cands), np.stack(denoms))
 
 
-def _parallel_batch(spec: MetricSpec, dist: Distribution, pts: np.ndarray) -> np.ndarray:
-    mj = metric_jet(spec, pts, order=2)
-    gamma = christoffel(mj).gamma[..., 0, :]
-    vals, partials = _generator_data(dist, pts)
-    norms = np.linalg.norm(vals, axis=1)
+def _parallel_batch(gen: tuple, gamma: np.ndarray) -> np.ndarray:
+    """gamma: connection values Gamma^a_bc, shape (4,4,4,P)."""
+    vals, partials, norms, proj_off = gen
     cands, denoms = [], []
-    for i in range(dist.rank):
+    for i in range(vals.shape[0]):
         for b in range(4):
             # (nabla_{e_b} X_i)^a = d_b X_i^a + Gamma^a_bc X_i^c
             cands.append(partials[i, :, b, :] + np.einsum("acp,cp->ap", gamma[:, b], vals[i]))
             denoms.append(norms[i])
-    return _offspan_residuals(vals, np.stack(cands), np.stack(denoms))
+    return _offspan_residuals(proj_off, np.stack(cands), np.stack(denoms))
 
 
 def frobenius_residual(dist: Distribution, p) -> float:
     """0 iff the span is involutive (closed under Lie brackets) at p."""
     pts, single = as_points(p)
-    out = _frobenius_batch(dist, pts)
+    out = np.zeros(pts.shape[0]) if dist.rank == 1 else _frobenius_batch(_generators(dist, pts))
     return float(out[0]) if single else out
 
 
 def autoparallel_residual(spec: MetricSpec, dist: Distribution, p) -> float:
     """0 iff covariant derivatives along the span stay in the span at p."""
     pts, single = as_points(p)
-    out = _autoparallel_batch(spec, dist, pts)
+    gamma = christoffel(metric_jet(spec, pts, order=2)).gamma[..., 0, :]
+    out = _autoparallel_batch(_generators(dist, pts), gamma)
     return float(out[0]) if single else out
 
 
@@ -261,5 +264,6 @@ def parallel_residual(spec: MetricSpec, dist: Distribution, p) -> float:
     """0 iff covariant derivatives in every coordinate direction stay in
     the span at p."""
     pts, single = as_points(p)
-    out = _parallel_batch(spec, dist, pts)
+    gamma = christoffel(metric_jet(spec, pts, order=2)).gamma[..., 0, :]
+    out = _parallel_batch(_generators(dist, pts), gamma)
     return float(out[0]) if single else out

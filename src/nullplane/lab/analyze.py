@@ -17,6 +17,7 @@ from ..frames import (
     dist_H,
     walker_tetrad,
     tetrad_max_defect,
+    _generators,
     _frobenius_batch,
     _autoparallel_batch,
     _parallel_batch,
@@ -110,7 +111,7 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
     out["has_frames"] = tet is not None
 
     if tet is not None:
-        defect = tetrad_max_defect(spec, tet, pts)
+        defect = tetrad_max_defect(mj, tet)
         gscale = max(float(np.max(np.abs(mj.g_val))), 1.0)
         if defect > 1e-7 * gscale:
             raise NullplaneError(f"tetrad normalization defect {defect:.2e} exceeds tolerance")
@@ -147,12 +148,14 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
             "W": beta_dist(cfg.t_field, tet),
             "H": dist_H(cfg.t_field, tet),
         }
+        gamma = pack.gamma[..., 0, :]  # one connection for every residual
         residuals: dict = {}
         for name, dist in dists.items():
+            gen = _generators(dist, pts)
             residuals[name] = {
-                "frobenius": _frobenius_batch(dist, pts),
-                "autoparallel": _autoparallel_batch(spec, dist, pts),
-                "parallel": _parallel_batch(spec, dist, pts),
+                "frobenius": _frobenius_batch(gen),
+                "autoparallel": _autoparallel_batch(gen, gamma),
+                "parallel": _parallel_batch(gen, gamma),
             }
         out["residuals"] = residuals
         out["ricci_null"] = np.atleast_1d(ricci_null_residual(pack, zdist))

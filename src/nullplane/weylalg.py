@@ -32,7 +32,7 @@ from .errors import CalibrationFailure, DegenerateRoot, KindError, RankDeficient
 from .exprkit.ast import Num, u as _u, v as _v
 from .exprkit.calculus import diff_expr, is_zero_expr
 from .exprkit.jets import as_points, mul_coeffs, _eval_coeffs
-from .frames import Distribution, Tetrad, walker_tetrad
+from .frames import Distribution, Tetrad, walker_tetrad, _check_rank
 from .tensor.curvature import CurvaturePack, curvature
 from .tensor.metric import WALKER, MetricSpec, metric_jet
 
@@ -352,18 +352,9 @@ def einstein_residual(pack: CurvaturePack):
     return float(out[0]) if pack.mj.single else out
 
 
-def _z_generator_values(pack: CurvaturePack, zdist: Distribution) -> np.ndarray:
-    pts = pack.points
-    vals = np.stack([[_eval_coeffs(c, pts, 0)[0] for c in gen] for gen in zdist.generators])
-    for p in range(pts.shape[0]):
-        sv = np.linalg.svd(vals[:, :, p].T, compute_uv=False)
-        if sv[vals.shape[0] - 1] < 1e-10 * max(sv[0], 1e-300):
-            raise RankDeficient("distribution rank-deficient at a sampled point")
-    return vals
-
-
 def _e_restricted(pack: CurvaturePack, zdist: Distribution):
-    vals = _z_generator_values(pack, zdist)  # (k,4,P)
+    vals = np.stack([[_eval_coeffs(c, pack.points, 0)[0] for c in gen] for gen in zdist.generators])  # (k,4,P)
+    _check_rank(vals, pack.points)
     evals = pack.efield_val  # (P,4,4)
     m = np.einsum("iap,pab,jbp->ijp", vals, evals, vals)
     gen_scale = np.max(np.linalg.norm(vals, axis=1), axis=0)

@@ -18,7 +18,8 @@ from nullplane.frames import (
     totally_null_defect,
     walker_tetrad,
 )
-from nullplane.tensor import MetricSpec
+from nullplane.tensor import MetricSpec, curvature, metric_jet
+from nullplane.weylalg import ricci_null_residual
 from conftest import sample_box
 
 PTS = sample_box(200, 10)
@@ -59,7 +60,7 @@ def test_tetrad_layout_flat():
 def test_tetrad_pairings_on_corpus(walker_corpus):
     specs, pts = walker_corpus
     for spec in specs:
-        assert tetrad_max_defect(spec, walker_tetrad(spec), pts) < 1e-12
+        assert tetrad_max_defect(metric_jet(spec, pts, order=0), walker_tetrad(spec)) < 1e-12
 
 
 def test_tetrad_null_components():
@@ -74,7 +75,7 @@ def test_conformal_tetrad_normalized():
     c = parse_expr("2*u^3/(3*v)")
     b = parse_expr("u^2")
     h = MetricSpec.conformal_walker(parse_expr("1/v"), a, b, c)
-    assert tetrad_max_defect(h, walker_tetrad(h), PTS) < 1e-12
+    assert tetrad_max_defect(metric_jet(h, PTS, order=0), walker_tetrad(h)) < 1e-12
 
 
 def test_tetrad_requires_walker_kind():
@@ -300,3 +301,20 @@ def test_rank_deficient_raises():
     dup = Distribution("dup", ((u, Num(0.0), Num(0.0), Num(0.0)), (u, Num(0.0), Num(0.0), Num(0.0))))
     with pytest.raises(RankDeficient):
         frobenius_residual(dup, PTS[:2])
+
+
+def test_rank_deficient_names_point():
+    """Both rank checks (residuals and the Ricci restriction) name the first
+    deficient point by its coordinates, not by a chunk-local index."""
+    pts = np.array([[2.0, 0.5, 0.75, 1.25], [1.0, 0.5, 0.75, 1.25], [1.5, 0.5, 0.75, 1.25]])
+    one = Num(1.0)
+    zero = Num(0.0)
+    dist = Distribution("drops", ((one, zero, zero, zero), (zero, parse_expr("u - 1"), zero, zero)))
+    where = r"\[at point \[1\.0, 0\.5, 0\.75, 1\.25\]\]$"
+    with pytest.raises(RankDeficient, match=where):
+        frobenius_residual(dist, pts)
+    with pytest.raises(RankDeficient, match=where):
+        parallel_residual(MetricSpec.walker(u**2, v**2, u), dist, pts)
+    pack = curvature(metric_jet(MetricSpec.walker(u**2, v**2, u), pts, order=2))
+    with pytest.raises(RankDeficient, match=where):
+        ricci_null_residual(pack, dist)

@@ -202,6 +202,96 @@ def test_threads_do_not_change_results(monkeypatch):
     assert base == threaded
 
 
+def _shared_evaluation_configs(tmp_path):
+    a, b, c = random_polys(72_000, 2, ("u", "v", "x", "y"), 3)
+    walker = AnalysisConfig(spec=mk_walker(a, b, c).spec, points=12, seed=4)
+    _, h_inst, t_field = mk_cp_example(x * y)
+    conformal = AnalysisConfig(spec=h_inst.spec, t_field=t_field, points=8, seed=2, exclude=(("v", 0.0),))
+    path = tmp_path / "general.ini"
+    path.write_text(GENERAL_SPEC)
+    general = load_spec_file(str(path))
+    general.points = 6
+    return {"walker": walker, "conformal_walker": conformal, "general": general}
+
+
+@pytest.mark.parametrize("case", ["walker", "conformal_walker", "general"])
+def test_pipeline_residuals_equal_public_wrappers(case, tmp_path):
+    """The pipeline's residuals read the connection of its order-3
+    curvature pack; the public wrappers build their own order-2
+    connection.  Both must give the same numbers bit for bit."""
+    from nullplane.frames import (
+        ProjParam,
+        alpha_dist,
+        autoparallel_residual,
+        beta_dist,
+        dist_D,
+        dist_H,
+        frobenius_residual,
+        parallel_residual,
+        walker_tetrad,
+    )
+
+    cfg = _shared_evaluation_configs(tmp_path)[case]
+    report = run_analysis(cfg)
+    pts = sample_points(cfg)
+    spec = cfg.spec
+    tet = cfg.tetrad if case == "general" else walker_tetrad(spec)
+    dists = {
+        "D": dist_D(cfg.t_field, tet),
+        "Z": alpha_dist(ProjParam.of(1, 0), tet),
+        "W": beta_dist(cfg.t_field, tet),
+        "H": dist_H(cfg.t_field, tet),
+    }
+    for name, dist in dists.items():
+        want = {
+            "frobenius": frobenius_residual(dist, pts),
+            "autoparallel": autoparallel_residual(spec, dist, pts),
+            "parallel": parallel_residual(spec, dist, pts),
+        }
+        for kind, values in want.items():
+            got = [rec["residuals"][name][kind] for rec in report.point_records]
+            assert got == [float(val) for val in values], (name, kind)
+
+
+def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
+    import importlib
+
+    from nullplane.weylalg import default_kappa
+
+    frames = importlib.import_module("nullplane.frames")
+    analyze = importlib.import_module("nullplane.lab.analyze")
+    # nullplane.tensor re-exports the function curvature under the module's name
+    tcurv = importlib.import_module("nullplane.tensor.curvature")
+    weylalg = importlib.import_module("nullplane.weylalg")
+
+    default_kappa()  # the cached calibration is not part of a chunk
+    monkeypatch.delenv("NULLPLANE_THREADS", raising=False)
+    counts = {"metric_jet": 0, "christoffel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (analyze, frames, tcurv, weylalg):
+        monkeypatch.setattr(module, "metric_jet", counted("metric_jet", module.metric_jet))
+    for module in (frames, tcurv):
+        monkeypatch.setattr(module, "christoffel", counted("christoffel", module.christoffel))
+
+    # the conformal_walker run adds the walker-part curvature and box_scalar
+    want = {
+        "walker": {"metric_jet": 1, "christoffel": 1},
+        "general": {"metric_jet": 1, "christoffel": 1},
+        "conformal_walker": {"metric_jet": 3, "christoffel": 3},
+    }
+    for case, cfg in _shared_evaluation_configs(tmp_path).items():
+        counts.update(metric_jet=0, christoffel=0)
+        run_analysis(cfg)
+        assert counts == want[case], case
+
+
 def test_report_json_roundtrip():
     cfg = AnalysisConfig(spec=mk_two_sided(u**2, v**2, u).spec, points=4, seed=1)
     report = run_analysis(cfg)
