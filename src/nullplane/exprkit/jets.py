@@ -96,6 +96,9 @@ def _deriv_table(order: int) -> np.ndarray:
 def mul_coeffs(a: np.ndarray, b: np.ndarray, order_a: int, order_b: int, order_out: int) -> np.ndarray:
     I, J, S = _mul_table(order_a, order_b, order_out)
     prod = a[..., I, :] * b[..., J, :]
+    if prod.shape[-1] == 1:
+        # einsum sums a lone column in another order; a copy keeps a batch's
+        return np.einsum("kt,...tp->...kp", S, np.repeat(prod, 2, axis=-1))[..., :1]
     return np.einsum("kt,...tp->...kp", S, prod)
 
 

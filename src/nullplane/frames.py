@@ -147,13 +147,19 @@ def metric_pairings(spec: MetricSpec, vectors: Sequence, p) -> np.ndarray:
     return gram[..., 0] if single else gram
 
 
-def tetrad_max_defect(mj: MetricJet, tet: Tetrad) -> float:
-    """Max deviation of the ten tetrad pairings from their target values."""
+def _tetrad_defects(mj: MetricJet, tet: Tetrad) -> np.ndarray:
+    """Per-point max deviation of the ten tetrad pairings from their target
+    values; shape (P,)."""
     gram = _gram(mj.g_val, [tet.l, tet.n, tet.m, tet.mt], mj.points)
     target = np.zeros_like(gram)
     target[0, 1] = target[1, 0] = 1.0
     target[2, 3] = target[3, 2] = -1.0
-    return float(np.max(np.abs(gram - target)))
+    return np.max(np.abs(gram - target), axis=(0, 1))
+
+
+def tetrad_max_defect(mj: MetricJet, tet: Tetrad) -> float:
+    """Max deviation of the ten tetrad pairings from their target values."""
+    return float(np.max(_tetrad_defects(mj, tet)))
 
 
 def totally_null_defect(spec: MetricSpec, dist: Distribution, p) -> float:

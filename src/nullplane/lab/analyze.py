@@ -3,8 +3,7 @@ classify, and assemble a Report."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from math import comb
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from ..frames import (
     dist_H,
     walker_tetrad,
     tetrad_max_defect,
+    _tetrad_defects,
     _generators,
     _frobenius_batch,
     _autoparallel_batch,
@@ -27,20 +27,20 @@ from ..tensor.metric import CONFORMAL_WALKER, WALKER, metric_jet
 from ..weylalg import (
     default_kappa,
     einstein_residual,
-    ricci_null_residual,
     root_structure,
-    rps_discriminant,
     weyl_quartic,
+    _e_restricted,
+    _ricci_null_of,
+    _rps_of,
 )
 from .config import AnalysisConfig, sample_points
 from .report import Report, _roots_to_dict
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("NULLPLANE_THREADS", "1")))
-    except ValueError:
-        return 1
+# Most points per _chunk_arrays call, so memory is bounded in the point count.
+# Chunks are balanced: numpy lays out curvature temporaries of batches under
+# ~26 points otherwise, which changes last bits of conformal_walker sums.
+_CHUNK_POINTS = 250
 
 
 def _attribute_point(err: NullplaneError, spec, order, pts) -> NullplaneError:
@@ -53,41 +53,33 @@ def _attribute_point(err: NullplaneError, spec, order, pts) -> NullplaneError:
     return err
 
 
-def _adapted_middle_coeff(coeffs: np.ndarray, t0: float, t1: float) -> float:
-    """Middle coefficient of the quartic reparametrized by the unimodular
-    dyad change that sends the direction (t0 : t1) to (0 : 1).
-
-    This is the frame in which the middle component is a geometric
-    quantity once the direction is a double root; for (0 : 1) it reduces
-    to the raw c_2.
+def _adapted_middle_coeff(coeffs: np.ndarray, tvals: np.ndarray) -> np.ndarray:
+    """Middle coefficient of each quartic (P, 5) reparametrized by the
+    unimodular dyad change that sends its direction (t0 : t1), tvals (2, P),
+    to (0 : 1): the s^2 coefficient of sum_k c_k p0(s)^(4-k) p1(s)^k with
+    p0 = a0 + b0 s and p1 = a1 + b1 s.  In this frame the middle component
+    is geometric once the direction is a double root; (0 : 1) gives c_2.
     """
-    norm = float(np.hypot(t0, t1))
-    b0, b1 = t0 / norm, t1 / norm
+    b0, b1 = tvals / np.hypot(tvals[0], tvals[1])
     a0, a1 = b1, -b0  # det [[a0, b0], [a1, b1]] = +1
-    p0 = np.array([a0, b0])  # value of the first parameter component in s
-    p1 = np.array([a1, b1])
-    total = np.zeros(5)
+    total = np.zeros(coeffs.shape[0])
     for k in range(5):
-        term = np.array([coeffs[k]])
-        for _ in range(4 - k):
-            term = np.polymul(term, p0[::-1])
-        for _ in range(k):
-            term = np.polymul(term, p1[::-1])
-        total[: len(term)] += term[::-1]
-    return float(total[2])
+        for i in range(max(0, 2 - k), min(2, 4 - k) + 1):
+            j = 2 - i
+            weight = comb(4 - k, i) * comb(k, j) * a0 ** (4 - k - i) * b0**i * a1 ** (k - j) * b1**j
+            total += coeffs[:, k] * weight
+    return total
 
 
-def _double_root_defect(coeffs: np.ndarray, t0: float, t1: float, is_zero_form: bool) -> float:
-    """Relative size of the homogeneous-quartic gradient at a direction;
-    ~0 iff the direction is a root of multiplicity >= 2."""
-    if is_zero_form:
-        return 0.0
-    norm = float(np.hypot(t0, t1))
-    t0, t1 = t0 / norm, t1 / norm
-    dq0 = sum(coeffs[k] * (4 - k) * t0 ** max(3 - k, 0) * t1**k for k in range(4))
-    dq1 = sum(coeffs[k] * k * t0 ** (4 - k) * t1 ** (k - 1) for k in range(1, 5))
-    scale = 4.0 * max(np.max(np.abs(coeffs)), 1e-30)
-    return float(max(abs(dq0), abs(dq1)) / scale)
+def _double_root_defect(coeffs: np.ndarray, tvals: np.ndarray, zero_form: np.ndarray) -> np.ndarray:
+    """Relative size of the homogeneous-quartic gradient at each direction,
+    coeffs (P, 5) and tvals (2, P) or (2, 1); ~0 iff the direction is a root
+    of multiplicity >= 2.  Zero forms (P,) bool give 0."""
+    t0, t1 = tvals / np.hypot(tvals[0], tvals[1])
+    dq0 = sum(coeffs[:, k] * (4 - k) * t0 ** (3 - k) * t1**k for k in range(4))
+    dq1 = sum(coeffs[:, k] * k * t0 ** (4 - k) * t1 ** (k - 1) for k in range(1, 5))
+    scale = 4.0 * np.maximum(np.max(np.abs(coeffs), axis=1), 1e-30)
+    return np.where(zero_form, 0.0, np.maximum(np.abs(dq0), np.abs(dq1)) / scale)
 
 
 def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
@@ -114,7 +106,10 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
         defect = tetrad_max_defect(mj, tet)
         gscale = max(float(np.max(np.abs(mj.g_val))), 1.0)
         if defect > 1e-7 * gscale:
-            raise NullplaneError(f"tetrad normalization defect {defect:.2e} exceeds tolerance")
+            worst = pts[np.argmax(_tetrad_defects(mj, tet))]
+            raise NullplaneError(
+                f"tetrad normalization defect {defect:.2e} exceeds tolerance [at point {worst.tolist()}]"
+            )
         from ..tensor.dual import volume_and_duals
 
         volume_and_duals(mj, tet)  # orientation calibration check
@@ -128,17 +123,11 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
         out["asd_coeffs"] = np.stack([f.coeffs for f in asd_forms])
         out["sd_roots"] = sd_roots
         out["asd_roots"] = asd_roots
-        out["sd_dir_defect"] = np.array(
-            [
-                _double_root_defect(f.coeffs, 1.0, 0.0, rl.type_string == "O")
-                for f, rl in zip(sd_forms, sd_roots)
-            ]
+        out["sd_dir_defect"] = _double_root_defect(
+            out["sd_coeffs"], np.array([[1.0], [0.0]]), np.array([rl.type_string == "O" for rl in sd_roots])
         )
-        out["asd_dir_defect"] = np.array(
-            [
-                _double_root_defect(f.coeffs, tvals[0, p], tvals[1, p], asd_roots[p].type_string == "O")
-                for p, f in enumerate(asd_forms)
-            ]
+        out["asd_dir_defect"] = _double_root_defect(
+            out["asd_coeffs"], tvals, np.array([rl.type_string == "O" for rl in asd_roots])
         )
 
         zdist = alpha_dist(ProjParam.of(1, 0), tet)
@@ -158,8 +147,9 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
                 "parallel": _parallel_batch(gen, gamma),
             }
         out["residuals"] = residuals
-        out["ricci_null"] = np.atleast_1d(ricci_null_residual(pack, zdist))
-        out["rps_disc"] = np.atleast_1d(rps_discriminant(pack, zdist))
+        m, den = _e_restricted(pack, zdist)  # one Ricci restriction for both outputs
+        out["ricci_null"] = _ricci_null_of(m, den)
+        out["rps_disc"] = _rps_of(m, den)
 
     if spec.kind in (WALKER, CONFORMAL_WALKER):
         # obstruction lives in the walker gauge; the flag/verdict use the
@@ -174,9 +164,7 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
                 [f.coeffs for f in weyl_quartic(wpack, walker_tetrad(wp), "ASD")]
             )
         c2_raw = wasd_coeffs[:, 2]
-        c2_adapted = np.array(
-            [_adapted_middle_coeff(wasd_coeffs[p], tvals[0, p], tvals[1, p]) for p in range(pts.shape[0])]
-        )
+        c2_adapted = _adapted_middle_coeff(wasd_coeffs, tvals)
         out["obstruction"] = c2_raw / (6.0 * kappa.value) - wpack.scalar_val / 12.0
         out["obstruction_adapted"] = c2_adapted / (6.0 * kappa.value) - wpack.scalar_val / 12.0
         out["obstruction_scale"] = np.maximum(
@@ -189,8 +177,6 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
 
 
 def _merge_chunks(chunks: list) -> dict:
-    if len(chunks) == 1:
-        return chunks[0]
     merged: dict = {}
     first = chunks[0]
     for key, value in first.items():
@@ -216,14 +202,8 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     pts = sample_points(cfg)
     kappa = default_kappa() if cfg.spec.kind in (WALKER, CONFORMAL_WALKER) else None
 
-    nthreads = _threads()
-    if nthreads > 1 and pts.shape[0] > nthreads:
-        splits = np.array_split(np.arange(pts.shape[0]), nthreads)
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            chunks = list(pool.map(lambda idx: _chunk_arrays(cfg, pts[idx], kappa), splits))
-        data = _merge_chunks(chunks)
-    else:
-        data = _chunk_arrays(cfg, pts, kappa)
+    nchunks = -(-pts.shape[0] // _CHUNK_POINTS)
+    data = _merge_chunks([_chunk_arrays(cfg, chunk, kappa) for chunk in np.array_split(pts, nchunks)])
 
     tol0 = cfg.tol_zero
     flags: dict = {}

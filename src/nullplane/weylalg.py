@@ -364,22 +364,28 @@ def _e_restricted(pack: CurvaturePack, zdist: Distribution):
     return m, e_scale * gen_scale**2
 
 
-def ricci_null_residual(pack: CurvaturePack, zdist: Distribution, p=None):
+def _ricci_null_of(m: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(m), axis=(0, 1)) / np.maximum(den, 1e-30)
+
+
+def _rps_of(m: np.ndarray, den: np.ndarray) -> np.ndarray:
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return det / np.maximum(den**2, 1e-30)
+
+
+def ricci_null_residual(pack: CurvaturePack, zdist: Distribution):
     """max |E(X, Y)| over the distribution's generators, normalized; 0 iff
     the trace-free Ricci form vanishes on the plane."""
-    m, den = _e_restricted(pack, zdist)
-    out = np.max(np.abs(m), axis=(0, 1)) / np.maximum(den, 1e-30)
+    out = _ricci_null_of(*_e_restricted(pack, zdist))
     return float(out[0]) if pack.mj.single else out
 
 
-def rps_discriminant(pack: CurvaturePack, zdist: Distribution, p=None):
+def rps_discriminant(pack: CurvaturePack, zdist: Distribution):
     """det of E restricted to the 2-plane, normalized; a real principal
     direction of the trace-free Ricci form on the plane exists iff <= 0."""
     if zdist.rank != 2:
         raise RankDeficient("rps_discriminant needs a 2-plane distribution")
-    m, den = _e_restricted(pack, zdist)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    out = det / np.maximum(den**2, 1e-30)
+    out = _rps_of(*_e_restricted(pack, zdist))
     return float(out[0]) if pack.mj.single else out
 
 

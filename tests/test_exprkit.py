@@ -178,6 +178,16 @@ def test_jet_batch_matches_single():
         assert np.allclose(batch.coeffs[:, i], single.coeffs[:, 0], rtol=1e-14)
 
 
+def test_mul_coeffs_single_point_matches_batch():
+    """A lone point's Leibniz products are summed in the order of a batch."""
+    from nullplane.exprkit.jets import mul_coeffs
+
+    a, b = np.random.default_rng(4).normal(size=(2, 35, 6))
+    batch = mul_coeffs(a, b, 3, 3, 3)
+    for i in range(6):
+        np.testing.assert_array_equal(mul_coeffs(a[:, i : i + 1], b[:, i : i + 1], 3, 3, 3), batch[:, i : i + 1])
+
+
 def test_jet_arithmetic_matches_composite_expression():
     rng = np.random.default_rng(8)
     pts = rng.uniform(0.5, 1.5, (5, 4))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nullplane.errors import ConfigError
+from nullplane.errors import ConfigError, NullplaneError
 from nullplane.exprkit import u, v, x, y
 from nullplane.families import mk_cp_example, mk_ricci_null, mk_sd_two_sided, mk_two_sided, mk_walker, random_polys
 from nullplane.lab import AnalysisConfig, load_spec_file, run_analysis, sample_points
@@ -194,14 +194,6 @@ def test_determinism_byte_identical():
     assert a == b
 
 
-def test_threads_do_not_change_results(monkeypatch):
-    cfg = AnalysisConfig(spec=mk_two_sided(u**2, v**2, u).spec, points=12, seed=13)
-    base = run_analysis(cfg).to_json(with_timestamp=False)
-    monkeypatch.setenv("NULLPLANE_THREADS", "3")
-    threaded = run_analysis(cfg).to_json(with_timestamp=False)
-    assert base == threaded
-
-
 def _shared_evaluation_configs(tmp_path):
     a, b, c = random_polys(72_000, 2, ("u", "v", "x", "y"), 3)
     walker = AnalysisConfig(spec=mk_walker(a, b, c).spec, points=12, seed=4)
@@ -253,6 +245,65 @@ def test_pipeline_residuals_equal_public_wrappers(case, tmp_path):
             assert got == [float(val) for val in values], (name, kind)
 
 
+@pytest.mark.parametrize("case", ["walker", "conformal_walker", "general"])
+def test_chunk_size_does_not_change_results(case, monkeypatch, tmp_path):
+    import importlib
+
+    analyze = importlib.import_module("nullplane.lab.analyze")
+    cfg = _shared_evaluation_configs(tmp_path)[case]
+    reports = []
+    for size in (1, 7, cfg.points):
+        monkeypatch.setattr(analyze, "_CHUNK_POINTS", size)
+        reports.append(run_analysis(cfg).to_json(with_timestamp=False))
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
+def test_tetrad_normalization_error_names_point(tmp_path):
+    """l scaled by 1 + u^2 breaks g(l, n) = 1 most where |u| is largest."""
+    path = tmp_path / "general.ini"
+    path.write_text(GENERAL_SPEC.replace("l0 = exp(-y/4)", "l0 = (1 + u^2) * exp(-y/4)"))
+    cfg = load_spec_file(str(path))
+    cfg.points = 6
+    with pytest.raises(NullplaneError, match=r"tetrad normalization defect .* \[at point \[") as info:
+        run_analysis(cfg)
+    pts = sample_points(cfg)
+    worst = pts[np.argmax(np.abs(pts[:, 0]))]
+    assert str(info.value).endswith(f"[at point {worst.tolist()}]")
+
+
+def test_adapted_middle_coeff_matches_factored_quartic():
+    """Oracle: a quartic lead * prod_i (t1 - tau_i t0), with coefficient c_k
+    on t0^(4-k) t1^k, becomes prod_i ((a1 - tau_i a0) + (b1 - tau_i b0) s)
+    under t0 = a0 + b0 s, t1 = a1 + b1 s; the middle coefficient is that
+    product's s^2 coefficient."""
+    from numpy.polynomial import polynomial as npoly
+
+    from nullplane.lab.analyze import _adapted_middle_coeff
+
+    rng = np.random.default_rng(5)
+    npts = 40
+    taus = rng.uniform(-2.0, 2.0, (npts, 4))
+    lead = rng.choice([-1.0, 1.0], npts) * rng.uniform(0.5, 2.0, npts)
+    coeffs = lead[:, None] * np.array([npoly.polyfromroots(tau) for tau in taus])
+    tvals = rng.normal(size=(2, npts))
+    tvals[0, :4] = 0.0
+    tvals[1, 4:8] = 0.0
+    tvals[:, 8:12] = [[1.5, -1.5, -0.5, 0.5], [-2.0, 2.0, -3.0, 3.0]]
+
+    got = _adapted_middle_coeff(coeffs, tvals)
+    for p in range(npts):
+        b0, b1 = tvals[:, p] / np.hypot(*tvals[:, p])
+        a0, a1 = b1, -b0
+        product = np.array([lead[p]])
+        for tau in taus[p]:
+            product = npoly.polymul(product, [a1 - tau * a0, b1 - tau * b0])
+        assert abs(got[p] - product[2]) <= 1e-13 * np.max(np.abs(coeffs[p])), p
+
+    vertical = np.tile([[0.0], [1.0]], (1, npts))
+    np.testing.assert_array_equal(_adapted_middle_coeff(coeffs, vertical), coeffs[:, 2])
+
+
 def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
     import importlib
 
@@ -265,7 +316,6 @@ def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
     weylalg = importlib.import_module("nullplane.weylalg")
 
     default_kappa()  # the cached calibration is not part of a chunk
-    monkeypatch.delenv("NULLPLANE_THREADS", raising=False)
     counts = {"metric_jet": 0, "christoffel": 0}
 
     def counted(name, fn):
