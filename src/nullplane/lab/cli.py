@@ -31,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--points", type=int, default=20, help="sample point count (default 20)")
         p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-        p.add_argument("--order", type=int, default=3, help="jet order (default 3)")
         p.add_argument("--box", type=str, default=None, help="sample interval 'lo,hi' for all coordinates")
         p.add_argument("--exclude", type=str, default=None, help="excluded loci, e.g. 'v=0'")
         p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
@@ -68,13 +67,19 @@ def _expr(text: str, what: str):
 def _apply_common(cfg: AnalysisConfig, args) -> AnalysisConfig:
     cfg.points = args.points
     cfg.seed = args.seed
-    cfg.order = args.order
-    cfg.output_format = args.fmt
     if args.box:
         cfg.box = (_parse_interval(args.box),) * 4
     if args.exclude:
         cfg.exclude = cfg.exclude + parse_exclude(args.exclude)
     return cfg
+
+
+def _random_polys(args, variables, count: int) -> list:
+    if not 0 <= args.degree <= 4:
+        raise ConfigError(f"--degree must be between 0 and 4 (got {args.degree})")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative (got {args.seed})")
+    return random_polys(args.seed, args.degree, variables, count)
 
 
 def _family_instances(args):
@@ -95,14 +100,14 @@ def _family_instances(args):
     if name == "ricci_null":
         return [mk_ricci_null(need("theta"), need("F"), need("G"))]
     if name == "sd2015":
-        return [mk_sd2015(*random_polys(args.seed, args.degree, ("x", "y"), 15))]
+        return [mk_sd2015(*_random_polys(args, ("x", "y"), 15))]
     if name == "sd_two_sided":
-        return [mk_sd_two_sided(*random_polys(args.seed, args.degree, ("x", "y"), 9))]
+        return [mk_sd_two_sided(*_random_polys(args, ("x", "y"), 9))]
     if name == "left_flat":
         if args.X is not None or args.Y is not None:
             zero = parse_expr("0")
             return [mk_left_flat(need("X", zero), need("Y", zero))]
-        return [mk_left_flat(*random_polys(args.seed, args.degree, ("x", "y"), 5))]
+        return [mk_left_flat(*_random_polys(args, ("x", "y"), 5))]
     if name == "cp":
         f_expr = _expr(args.F, "F") if args.F is not None else parse_expr("0")
         g_inst, h_inst, _ = mk_cp_example(f_expr)
@@ -125,7 +130,7 @@ def main(argv=None) -> int:
                 )
             cfg = _apply_common(cfg, args)
             report = run_analysis(cfg)
-            print(report.to_json() if cfg.output_format == "json" else report.to_text())
+            print(report.to_json() if args.fmt == "json" else report.to_text())
             return 0
         # family
         instances = _family_instances(args)

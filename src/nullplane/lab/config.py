@@ -45,10 +45,8 @@ class AnalysisConfig:
     box: tuple = ((0.5, 1.5),) * 4
     points: int = 20
     seed: int = 0
-    order: int = 3
     tol_zero: float = 1e-7
     tol_nonzero: float = 1e-3
-    output_format: str = "json"
     exclude: tuple = ()  # (coordinate_name, value) pairs
     tetrad: Optional[Tetrad] = None
     source: str = "api"
@@ -72,7 +70,7 @@ class AnalysisConfig:
             "box": [list(b) for b in self.box],
             "points": self.points,
             "seed": self.seed,
-            "order": self.order,
+            "order": 3,  # report-format field, kept so reports stay byte-identical
             "tolerances": {"zero": self.tol_zero, "nonzero": self.tol_nonzero},
             "exclude": [f"{name}={value}" for name, value in self.exclude],
         }
@@ -198,6 +196,8 @@ def sample_points(cfg: AnalysisConfig) -> np.ndarray:
     """Deterministic uniform sample of the box, avoiding excluded loci."""
     if cfg.points < 1:
         raise ConfigError("point count must be positive")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative (got {cfg.seed})")
     rng = np.random.default_rng(cfg.seed)
     lo = np.array([b[0] for b in cfg.box])
     hi = np.array([b[1] for b in cfg.box])

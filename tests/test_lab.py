@@ -208,9 +208,9 @@ def _shared_evaluation_configs(tmp_path):
 
 @pytest.mark.parametrize("case", ["walker", "conformal_walker", "general"])
 def test_pipeline_residuals_equal_public_wrappers(case, tmp_path):
-    """The pipeline's residuals read the connection of its order-3
-    curvature pack; the public wrappers build their own order-2
-    connection.  Both must give the same numbers bit for bit."""
+    """The pipeline's residuals read the connection of its curvature pack;
+    the public wrappers build their own connection from order-2 metric
+    jets.  Both must give the same numbers bit for bit."""
     from nullplane.frames import (
         ProjParam,
         alpha_dist,
@@ -259,6 +259,18 @@ def test_chunk_size_does_not_change_results(case, monkeypatch, tmp_path):
     assert reports[2] == reports[0]
 
 
+@pytest.mark.parametrize("case", ["walker", "conformal_walker", "general"])
+def test_point_count_does_not_change_results(case, tmp_path):
+    """sample_points draws the same first point for any point count, and
+    that point gets the same record analysed alone or in a batch."""
+    cfg = _shared_evaluation_configs(tmp_path)[case]
+    cfg.points = 12
+    batch = run_analysis(cfg).point_records
+    cfg.points = 1
+    alone = run_analysis(cfg).point_records
+    assert json.dumps(alone, sort_keys=True) == json.dumps(batch[:1], sort_keys=True)
+
+
 def test_tetrad_normalization_error_names_point(tmp_path):
     """l scaled by 1 + u^2 breaks g(l, n) = 1 most where |u| is largest."""
     path = tmp_path / "general.ini"
@@ -270,6 +282,25 @@ def test_tetrad_normalization_error_names_point(tmp_path):
     pts = sample_points(cfg)
     worst = pts[np.argmax(np.abs(pts[:, 0]))]
     assert str(info.value).endswith(f"[at point {worst.tolist()}]")
+
+
+def test_tetrad_normalization_tolerance_is_per_point(tmp_path):
+    """l scaled by 1 + 1e-6 gives a defect of 1e-6 everywhere.  At a point
+    with max |g| <= 1 the tolerance is 1e-7, so it fails; at a point with
+    max |g| ~ 270 the tolerance is ~2.7e-5, so it passes.  Sharing a chunk
+    does not lend the small point the large point's tolerance."""
+    from nullplane.lab.analyze import _chunk_arrays
+
+    path = tmp_path / "general.ini"
+    path.write_text(GENERAL_SPEC.replace("l0 = exp(-y/4)", "l0 = (1 + 1e-6) * exp(-y/4)"))
+    cfg = load_spec_file(str(path))
+    small = [0.2, 0.3, 0.5, -2.0]  # max |g| = exp(-1)
+    large = [10.0, 0.3, 0.5, 2.0]  # max |g| = e * 100
+    _chunk_arrays(cfg, np.array([large]), None)
+    for pts in ([small], [small, large], [large, small]):
+        with pytest.raises(NullplaneError, match=r"tetrad normalization defect") as info:
+            _chunk_arrays(cfg, np.array(pts), None)
+        assert str(info.value).endswith(f"[at point {small}]")
 
 
 def test_adapted_middle_coeff_matches_factored_quartic():
@@ -306,6 +337,7 @@ def test_adapted_middle_coeff_matches_factored_quartic():
 
 def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
     import importlib
+    import inspect
 
     from nullplane.weylalg import default_kappa
 
@@ -317,10 +349,17 @@ def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
 
     default_kappa()  # the cached calibration is not part of a chunk
     counts = {"metric_jet": 0, "christoffel": 0}
+    orders = []
 
     def counted(name, fn):
+        signature = inspect.signature(fn)
+
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name == "metric_jet":
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                orders.append(bound.arguments["order"])
             return fn(*args, **kwargs)
 
         return wrapper
@@ -338,8 +377,10 @@ def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
     }
     for case, cfg in _shared_evaluation_configs(tmp_path).items():
         counts.update(metric_jet=0, christoffel=0)
+        orders.clear()
         run_analysis(cfg)
         assert counts == want[case], case
+        assert orders == [2] * want[case]["metric_jet"], case  # curvature needs second partials only
 
 
 def test_report_json_roundtrip():
@@ -419,6 +460,21 @@ def test_cli_t_field_override(spec_file, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["config"]["lambda"] == {"t0": "u", "t1": "v"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--name", "cp", "--F", "x*y", "--seed", "-1"],
+        ["family", "--name", "sd2015", "--seed", "-1"],
+        ["family", "--name", "sd2015", "--degree", "5"],
+        ["family", "--name", "left_flat", "--degree", "-1"],
+    ],
+    ids=["negative_seed", "negative_seed_random_family", "degree_5", "negative_degree"],
+)
+def test_cli_rejects_bad_seed_or_degree(argv, capsys):
+    assert main(argv + ["--points", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_usage_error_exit_code():
