@@ -357,7 +357,12 @@ def eval_jet(e: Expr, p, order: int = 3) -> Jet:
     return Jet(order, _eval_coeffs(e, pts, order))
 
 
-def _eval_coeffs(e: Expr, pts: np.ndarray, order: int) -> np.ndarray:
+def _eval_coeffs(e: Expr, pts: np.ndarray, order: int, known=None) -> np.ndarray:
+    """Jet (M, P) of the expression at the points.  ``known`` maps id(node)
+    to that node's jet at ``order``, already evaluated at these points; such
+    nodes are read, not evaluated again."""
+    if known is not None and id(e) in known:
+        return known[id(e)]
     npts = pts.shape[0]
     try:
         if isinstance(e, Num):
@@ -366,10 +371,10 @@ def _eval_coeffs(e: Expr, pts: np.ndarray, order: int) -> np.ndarray:
             i = COORDS.index(e.name)
             return coord_coeffs(i, pts[:, i], order)
         if isinstance(e, Neg):
-            return -_eval_coeffs(e.arg, pts, order)
+            return -_eval_coeffs(e.arg, pts, order, known)
         if isinstance(e, BinOp):
-            a = _eval_coeffs(e.lhs, pts, order)
-            b = _eval_coeffs(e.rhs, pts, order)
+            a = _eval_coeffs(e.lhs, pts, order, known)
+            b = _eval_coeffs(e.rhs, pts, order, known)
             if e.op == "+":
                 return a + b
             if e.op == "-":
@@ -378,10 +383,10 @@ def _eval_coeffs(e: Expr, pts: np.ndarray, order: int) -> np.ndarray:
                 return mul_coeffs(a, b, order, order, order)
             return div_coeffs(a, b, order, order, order)
         if isinstance(e, Pow):
-            base = _eval_coeffs(e.base, pts, order)
+            base = _eval_coeffs(e.base, pts, order, known)
             return pow_coeffs(base, e.exponent, order)
         if isinstance(e, Call):
-            return func_coeffs(e.func, _eval_coeffs(e.arg, pts, order), order)
+            return func_coeffs(e.func, _eval_coeffs(e.arg, pts, order, known), order)
     except DomainError as err:
         if err.expr is None:
             raise DomainError(str(err), expr=e) from None

@@ -21,14 +21,14 @@ a positive function leaves every residual unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateParam, KindError, RankDeficient
 from .exprkit.ast import Expr, Num, as_expr
 from .exprkit.calculus import add_, div_, mul_, neg_
-from .exprkit.jets import as_points, deriv_coeffs, _eval_coeffs
+from .exprkit.jets import as_points, deriv_coeffs, mul_coeffs, truncate_coeffs, _eval_coeffs
 from .tensor.curvature import christoffel
 from .tensor.metric import CONFORMAL_WALKER, WALKER, MetricJet, MetricSpec, metric_jet
 
@@ -57,16 +57,19 @@ class ProjParam:
 
     def values(self, p) -> np.ndarray:
         pts, _ = as_points(p)
-        t0 = _eval_coeffs(self.t0, pts, 0)[0]
-        t1 = _eval_coeffs(self.t1, pts, 0)[0]
-        vals = np.stack([t0, t1])
-        scale = np.max(np.abs(vals), axis=0)
-        bad = np.flatnonzero(scale < 1e-12)
-        if bad.size:
-            raise DegenerateParam(
-                f"both projective components vanish at a sampled point [at point {pts[bad[0]].tolist()}]"
-            )
-        return vals
+        return _t_values(_eval_coeffs(self.t0, pts, 0)[0], _eval_coeffs(self.t1, pts, 0)[0], pts)
+
+
+def _t_values(t0: np.ndarray, t1: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The t-field values (2, P); raises DegenerateParam where both vanish."""
+    vals = np.stack([t0, t1])
+    scale = np.max(np.abs(vals), axis=0)
+    bad = np.flatnonzero(scale < 1e-12)
+    if bad.size:
+        raise DegenerateParam(
+            f"both projective components vanish at a sampled point [at point {pts[bad[0]].tolist()}]"
+        )
+    return vals
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,72 @@ class Distribution:
     @property
     def rank(self) -> int:
         return len(self.generators)
+
+
+def _wedge_jets(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    w = mul_coeffs(a[:, None], b[None, :], order, order, order)
+    return w - np.swapaxes(w, 0, 1)
+
+
+def _bivector_bases(vecs: dict, order: int) -> dict:
+    """Bases of the plane bivectors at ``order`` (see weylalg): self-dual
+    (l^mt, l^n + m^mt, m^n) and anti-self-dual (l^m, l^n - m^mt, mt^n)."""
+    ln = _wedge_jets(vecs["l"], vecs["n"], order)
+    mmt = _wedge_jets(vecs["m"], vecs["mt"], order)
+    return {
+        "SD": (_wedge_jets(vecs["l"], vecs["mt"], order), ln + mmt, _wedge_jets(vecs["m"], vecs["n"], order)),
+        "ASD": (_wedge_jets(vecs["l"], vecs["m"], order), ln - mmt, _wedge_jets(vecs["mt"], vecs["n"], order)),
+    }
+
+
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """A tetrad, and optionally a t-field, at a batch of points, with each
+    component expression evaluated once for every consumer.
+
+    ``jets`` maps id(component) to its jet (M, P) at order
+    max(1, basis_order); the generators read their first partials from it
+    as known nodes of their expression trees.  Holding the tetrad and the
+    t-field keeps those ids valid.  ``vecs`` holds the four tetrad vectors
+    (4, M, P), ``bases`` the SD and ASD bivector bases at ``basis_order``,
+    the jet order of the curvature they are paired with.
+    """
+
+    tetrad: Tetrad
+    t_field: Optional[ProjParam]
+    points: np.ndarray
+    basis_order: int
+    jets: dict
+    vecs: dict
+    bases: dict
+
+    @staticmethod
+    def of(tet: Tetrad, pts: np.ndarray, t_field: Optional[ProjParam] = None, basis_order: int = 0) -> "Frame":
+        order = max(1, basis_order)
+        comps = [comp for vec in tet.vectors().values() for comp in vec]
+        if t_field is not None:
+            comps += [t_field.t0, t_field.t1]
+        jets: dict = {}
+        for comp in comps:
+            if id(comp) not in jets:
+                jets[id(comp)] = _eval_coeffs(comp, pts, order)
+        vecs = {name: np.stack([jets[id(comp)] for comp in vec]) for name, vec in tet.vectors().items()}
+        truncated = {name: truncate_coeffs(vec, order, basis_order) for name, vec in vecs.items()}
+        return Frame(tet, t_field, pts, basis_order, jets, vecs, _bivector_bases(truncated, basis_order))
+
+    def values(self, name: str) -> np.ndarray:
+        """Values (4, P) of the tetrad vector ``name``."""
+        return self.vecs[name][:, 0, :]
+
+    def t_values(self) -> np.ndarray:
+        """The t-field values (2, P), checked as ProjParam.values does."""
+        t0, t1 = (self.jets[id(comp)][0] for comp in (self.t_field.t0, self.t_field.t1))
+        return _t_values(t0, t1, self.points)
+
+
+def _as_frame(tet, pts: np.ndarray, basis_order: int = 0) -> Frame:
+    """tet itself if it is a Frame, else a new Frame of the Tetrad at the points."""
+    return tet if isinstance(tet, Frame) else Frame.of(tet, pts, basis_order=basis_order)
 
 
 def walker_tetrad(spec: MetricSpec) -> Tetrad:
@@ -134,30 +203,32 @@ def dist_H(t: ProjParam, tet: Tetrad) -> Distribution:
 # numeric validators
 
 
-def _gram(g_val: np.ndarray, vectors: Sequence, pts: np.ndarray) -> np.ndarray:
-    """g(X_i, X_j) at the points from metric values (P,4,4); shape (k,k,P)."""
-    vals = np.stack([[_eval_coeffs(comp, pts, 0)[0] for comp in vec] for vec in vectors])  # (k,4,P)
+def _gram(g_val: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """g(X_i, X_j) from metric values (P,4,4) and vector values (k,4,P);
+    shape (k,k,P)."""
     return np.einsum("iap,pab,jbp->ijp", vals, g_val, vals)
 
 
 def metric_pairings(spec: MetricSpec, vectors: Sequence, p) -> np.ndarray:
     """Gram matrix g(X_i, X_j) of expression vector fields at the point(s)."""
     pts, single = as_points(p)
-    gram = _gram(metric_jet(spec, pts, order=0).g_val, vectors, pts)
+    vals = np.stack([[_eval_coeffs(comp, pts, 0)[0] for comp in vec] for vec in vectors])
+    gram = _gram(metric_jet(spec, pts, order=0).g_val, vals)
     return gram[..., 0] if single else gram
 
 
-def _tetrad_defects(mj: MetricJet, tet: Tetrad) -> np.ndarray:
+def _tetrad_defects(mj: MetricJet, tet) -> np.ndarray:
     """Per-point max deviation of the ten tetrad pairings from their target
-    values; shape (P,)."""
-    gram = _gram(mj.g_val, [tet.l, tet.n, tet.m, tet.mt], mj.points)
+    values; shape (P,).  tet is a Tetrad or a Frame at the jet's points."""
+    frame = _as_frame(tet, mj.points)
+    gram = _gram(mj.g_val, np.stack([frame.values(name) for name in ("l", "n", "m", "mt")]))
     target = np.zeros_like(gram)
     target[0, 1] = target[1, 0] = 1.0
     target[2, 3] = target[3, 2] = -1.0
     return np.max(np.abs(gram - target), axis=(0, 1))
 
 
-def tetrad_max_defect(mj: MetricJet, tet: Tetrad) -> float:
+def tetrad_max_defect(mj: MetricJet, tet) -> float:
     """Max deviation of the ten tetrad pairings from their target values."""
     return float(np.max(_tetrad_defects(mj, tet)))
 
@@ -181,12 +252,15 @@ def _check_rank(vals: np.ndarray, pts: np.ndarray) -> None:
         raise RankDeficient(f"generators have rank < {k} [at point {pts[bad[0]].tolist()}]")
 
 
-def _generators(dist: Distribution, pts: np.ndarray) -> tuple:
+def _generators(dist: Distribution, pts: np.ndarray, frame: Optional[Frame] = None) -> tuple:
     """One evaluation of the generators at order 1, shared by all residuals:
     values (k,4,P), first partials (k, comp, deriv, P), Euclidean norms
     (k,P), and the projector (P,4,4) onto the Euclidean complement of the
-    span, after a rank check."""
-    jets = np.stack([[_eval_coeffs(comp, pts, 1) for comp in vec] for vec in dist.generators])
+    span, after a rank check.  With a frame (basis order 0 or 1) of the
+    tetrad and t-field the distribution was built from, their component
+    nodes are read from it."""
+    known = None if frame is None else frame.jets
+    jets = np.stack([[_eval_coeffs(comp, pts, 1, known) for comp in vec] for vec in dist.generators])
     vals = jets[..., 0, :]
     _check_rank(vals, pts)
     q, _ = np.linalg.qr(vals.transpose(2, 1, 0))  # (P,4,k)

@@ -1,7 +1,6 @@
 """Analysis configuration, pipeline, reporting, CLI, and acceptance suite."""
 
 from .analyze import run_analysis
-from .cli import main as cli_main
 from .config import AnalysisConfig, load_spec_file, sample_points
 from .report import Report
 from .selftest import CriterionResult, run_all, selftest
@@ -10,7 +9,6 @@ __all__ = [
     "AnalysisConfig",
     "CriterionResult",
     "Report",
-    "cli_main",
     "load_spec_file",
     "run_all",
     "run_analysis",

@@ -9,6 +9,7 @@ import numpy as np
 
 from ..errors import DomainError, NullplaneError, SingularMetric
 from ..frames import (
+    Frame,
     ProjParam,
     alpha_dist,
     beta_dist,
@@ -43,14 +44,18 @@ from .report import Report, _roots_to_dict
 _CHUNK_POINTS = 250
 
 
-def _attribute_point(err: NullplaneError, spec, pts) -> NullplaneError:
-    """Re-run point by point to name the failing sample in the message."""
-    for i in range(pts.shape[0]):
-        try:
-            metric_jet(spec, pts[i], 2)
-        except (DomainError, SingularMetric) as single_err:
-            return err.__class__(f"{single_err} [at point {pts[i].tolist()}]")
-    return err
+def _attribute_point(evaluate, pts: np.ndarray):
+    """evaluate(pts); if it fails with a DomainError or SingularMetric, it
+    is re-run point by point and the error names the first failing sample."""
+    try:
+        return evaluate(pts)
+    except (DomainError, SingularMetric) as err:
+        for i in range(pts.shape[0]):
+            try:
+                evaluate(pts[i : i + 1])
+            except (DomainError, SingularMetric) as single_err:
+                raise err.__class__(f"{single_err} [at point {pts[i].tolist()}]") from err
+        raise
 
 
 def _adapted_middle_coeff(coeffs: np.ndarray, tvals: np.ndarray) -> np.ndarray:
@@ -88,10 +93,7 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
         # a lone point is analysed as two copies to keep its batch bytes
         return _map_chunks([_chunk_arrays(cfg, np.repeat(pts, 2, axis=0), kappa)], lambda parts: parts[0][:1])
     spec = cfg.spec
-    try:
-        mj = metric_jet(spec, pts, 2)  # curvature needs second partials only
-    except (DomainError, SingularMetric) as err:
-        raise _attribute_point(err, spec, pts) from err
+    mj = _attribute_point(lambda p: metric_jet(spec, p, 2), pts)  # curvature needs second partials only
     pack = curvature(mj)
 
     out: dict = {
@@ -107,9 +109,11 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
     out["has_frames"] = tet is not None
 
     if tet is not None:
+        # the one evaluation of the tetrad and the t-field in this chunk
+        frame = _attribute_point(lambda p: Frame.of(tet, p, cfg.t_field), pts)
         # each point's tolerance is at least 1e-7, so a smaller maximum passes all
-        if tetrad_max_defect(mj, tet) > 1e-7:
-            defects = _tetrad_defects(mj, tet)
+        if tetrad_max_defect(mj, frame) > 1e-7:
+            defects = _tetrad_defects(mj, frame)
             tol = 1e-7 * np.maximum(np.max(np.abs(mj.g_val), axis=(1, 2)), 1.0)
             worst = np.argmax(np.where(defects > tol, defects, -1.0))
             if defects[worst] > tol[worst]:
@@ -119,11 +123,11 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
                 )
         from ..tensor.dual import volume_and_duals
 
-        volume_and_duals(mj, tet)  # orientation calibration check
+        volume_and_duals(mj, frame)  # orientation calibration check
 
-        tvals = cfg.t_field.values(pts)  # (2, P)
-        sd_forms = weyl_quartic(pack, tet, "SD")
-        asd_forms = weyl_quartic(pack, tet, "ASD")
+        tvals = frame.t_values()  # (2, P)
+        sd_forms = weyl_quartic(pack, frame, "SD")
+        asd_forms = weyl_quartic(pack, frame, "ASD")
         sd_roots = [root_structure(f) for f in sd_forms]
         asd_roots = [root_structure(f) for f in asd_forms]
         out["sd_coeffs"] = np.stack([f.coeffs for f in sd_forms])
@@ -145,16 +149,16 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
             "H": dist_H(cfg.t_field, tet),
         }
         gamma = pack.gamma[..., 0, :]  # one connection for every residual
-        residuals: dict = {}
-        for name, dist in dists.items():
-            gen = _generators(dist, pts)
-            residuals[name] = {
+        gens = {name: _generators(dist, pts, frame) for name, dist in dists.items()}
+        out["residuals"] = {
+            name: {
                 "frobenius": _frobenius_batch(gen),
                 "autoparallel": _autoparallel_batch(gen, gamma),
                 "parallel": _parallel_batch(gen, gamma),
             }
-        out["residuals"] = residuals
-        m, den = _e_restricted(pack, zdist)  # one Ricci restriction for both outputs
+            for name, gen in gens.items()
+        }
+        m, den = _e_restricted(pack, gens["Z"][0])  # one Ricci restriction for both outputs
         out["ricci_null"] = _ricci_null_of(m, den)
         out["rps_disc"] = _rps_of(m, den)
 

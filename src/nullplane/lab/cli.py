@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ..errors import ConfigError, ExprSyntaxError, NullplaneError
@@ -163,6 +164,11 @@ def main(argv=None) -> int:
     except NullplaneError as err:
         print(f"analysis error: {err}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout: send the flush at exit to devnull and exit
+        # as a process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ class Report:
 
     def to_text(self) -> str:
         lines = [f"nullplane {__version__} analysis of {self.config.get('source', '?')}"]
-        lines.append(f"  points: {self.config['points']}  seed: {self.config['seed']}  order: {self.config['order']}")
+        lines.append(f"  points: {self.config['points']}  seed: {self.config['seed']}")
         if self.kappa is not None:
             lines.append(f"  calibration constant: {self.kappa:.12g}")
         lines.append("  flags:")

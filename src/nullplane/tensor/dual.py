@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CalibrationFailure
-from ..exprkit.jets import _eval_coeffs
 
 
 def _levi_civita4() -> np.ndarray:
@@ -73,16 +72,18 @@ def volume_and_duals(mj, tetrad) -> DualOperator:
     """Orientation-calibrated dual operator at the metric jet's points.
 
     The sign is fixed by requiring star(l ^ mt) = +(l ^ mt) at every
-    sampled point; failure at any point raises CalibrationFailure.
+    sampled point; failure at any point raises CalibrationFailure.  The
+    tetrad is a Tetrad or a frames.Frame at the jet's points.
     """
+    from ..frames import _as_frame  # frames imports this package
+
     g_inv = mj.g_inv_val
     sqrt_det = np.sqrt(mj.det[0])
     eps_mixed = sqrt_det[:, None, None, None, None] * np.einsum("pak,pbl,klcd->pabcd", g_inv, g_inv, _LC4)
     dual = DualOperator(sign=1.0, eps_mixed=eps_mixed)
 
-    lvals = np.stack([_eval_coeffs(c, mj.points, 0)[0] for c in tetrad.l])
-    mtvals = np.stack([_eval_coeffs(c, mj.points, 0)[0] for c in tetrad.mt])
-    biv = _wedge_values(lvals, mtvals)
+    frame = _as_frame(tetrad, mj.points)
+    biv = _wedge_values(frame.values("l"), frame.values("mt"))
     starred = dual.star_bivector(biv)
     norm = np.max(np.abs(biv), axis=(1, 2))
     if np.any(norm <= 0.0):

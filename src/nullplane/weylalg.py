@@ -31,8 +31,8 @@ import numpy as np
 from .errors import CalibrationFailure, DegenerateRoot, KindError, RankDeficient
 from .exprkit.ast import Num, u as _u, v as _v
 from .exprkit.calculus import diff_expr, is_zero_expr
-from .exprkit.jets import as_points, mul_coeffs, _eval_coeffs
-from .frames import Distribution, Tetrad, walker_tetrad, _check_rank
+from .exprkit.jets import as_points, deriv_coeffs, mul_coeffs
+from .frames import Distribution, walker_tetrad, _as_frame, _generators
 from .tensor.curvature import CurvaturePack, curvature
 from .tensor.metric import WALKER, MetricSpec, metric_jet
 
@@ -87,59 +87,38 @@ class CalibrationConstant:
 # quartic extraction
 
 
-def _wedge_jets(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    w = mul_coeffs(a[:, None], b[None, :], order, order, order)
-    return w - np.swapaxes(w, 0, 1)
+def _contract(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """Jets of a_{ij...} b_{ij...} summed over the leading index pair."""
+    return mul_coeffs(a, b, order, order, order).sum(axis=(0, 1))
 
 
-def _pairing(cjets: np.ndarray, pj: np.ndarray, qj: np.ndarray, order: int) -> np.ndarray:
-    t = mul_coeffs(cjets, pj[:, :, None, None], order, order, order).sum(axis=(0, 1))
-    return mul_coeffs(t, qj, order, order, order).sum(axis=(0, 1))
-
-
-def _side_bases(tet: Tetrad, pts: np.ndarray, order: int) -> dict:
-    vecs = {k: np.stack([_eval_coeffs(c, pts, order) for c in comps]) for k, comps in tet.vectors().items()}
-    ln = _wedge_jets(vecs["l"], vecs["n"], order)
-    mmt = _wedge_jets(vecs["m"], vecs["mt"], order)
-    return {
-        "SD": (
-            _wedge_jets(vecs["l"], vecs["mt"], order),
-            ln + mmt,
-            _wedge_jets(vecs["m"], vecs["n"], order),
-        ),
-        "ASD": (
-            _wedge_jets(vecs["l"], vecs["m"], order),
-            ln - mmt,
-            _wedge_jets(vecs["mt"], vecs["n"], order),
-        ),
-    }
-
-
-def weyl_quartic(pack: CurvaturePack, tet: Tetrad, side: str):
+def weyl_quartic(pack: CurvaturePack, tet, side: str):
     """Quartic form(s) of one duality side at the pack's point(s).
 
-    Returns a QuarticForm for a single-point pack, else a list of them.
-    Coefficient coordinate partials are included when the pack was built
-    from order-3 metric jets.  The reference scale is the largest Weyl
-    pairing over both sides' bivector bases, which is the magnitude the
-    coefficients would have if the relevant Weyl part were generic.
+    tet is a Tetrad, or a frames.Frame at the pack's points whose bivector
+    bases have the pack's jet order.  Returns a QuarticForm for a
+    single-point pack, else a list of them.  Coefficient coordinate
+    partials are included when the pack was built from order-3 metric
+    jets.  The reference scale is the largest Weyl pairing over both
+    sides' bivector bases, which is the magnitude the coefficients would
+    have if the relevant Weyl part were generic.
     """
     if side not in ("SD", "ASD"):
         raise ValueError("side must be 'SD' or 'ASD'")
     order = pack.order
     pts = pack.points
-    bases = _side_bases(tet, pts, order)
+    bases = _as_frame(tet, pts, basis_order=order).bases
     b0, b1, b2 = bases[side]
 
-    c = pack.weyl
-    pair = lambda a_, b_: _pairing(c, a_, b_, order)
+    # C(b_i, .) once per basis element, then paired with b_j
+    t0, t1, t2 = (_contract(pack.weyl, b[:, :, None, None], order) for b in (b0, b1, b2))
     coeffs = np.stack(
         [
-            pair(b0, b0),
-            2.0 * pair(b0, b1),
-            2.0 * pair(b0, b2) + pair(b1, b1),
-            2.0 * pair(b1, b2),
-            pair(b2, b2),
+            _contract(t0, b0, order),
+            2.0 * _contract(t0, b1, order),
+            2.0 * _contract(t0, b2, order) + _contract(t1, b1, order),
+            2.0 * _contract(t1, b2, order),
+            _contract(t2, b2, order),
         ]
     )  # (5, M, P)
 
@@ -155,8 +134,6 @@ def weyl_quartic(pack: CurvaturePack, tet: Tetrad, side: str):
     forms = []
     npts = pts.shape[0]
     has_partials = order >= 1
-    from .exprkit.jets import deriv_coeffs
-
     partials = deriv_coeffs(coeffs, order)[..., 0, :] if has_partials else None  # (5,4,P)
     for p in range(npts):
         cp = coeffs[:, 0, p].copy()
@@ -352,9 +329,9 @@ def einstein_residual(pack: CurvaturePack):
     return float(out[0]) if pack.mj.single else out
 
 
-def _e_restricted(pack: CurvaturePack, zdist: Distribution):
-    vals = np.stack([[_eval_coeffs(c, pack.points, 0)[0] for c in gen] for gen in zdist.generators])  # (k,4,P)
-    _check_rank(vals, pack.points)
+def _e_restricted(pack: CurvaturePack, vals: np.ndarray):
+    """The trace-free Ricci form on rank-checked generator values (k,4,P)
+    and its normalization."""
     evals = pack.efield_val  # (P,4,4)
     m = np.einsum("iap,pab,jbp->ijp", vals, evals, vals)
     gen_scale = np.max(np.linalg.norm(vals, axis=1), axis=0)
@@ -376,7 +353,7 @@ def _rps_of(m: np.ndarray, den: np.ndarray) -> np.ndarray:
 def ricci_null_residual(pack: CurvaturePack, zdist: Distribution):
     """max |E(X, Y)| over the distribution's generators, normalized; 0 iff
     the trace-free Ricci form vanishes on the plane."""
-    out = _ricci_null_of(*_e_restricted(pack, zdist))
+    out = _ricci_null_of(*_e_restricted(pack, _generators(zdist, pack.points)[0]))
     return float(out[0]) if pack.mj.single else out
 
 
@@ -385,7 +362,7 @@ def rps_discriminant(pack: CurvaturePack, zdist: Distribution):
     direction of the trace-free Ricci form on the plane exists iff <= 0."""
     if zdist.rank != 2:
         raise RankDeficient("rps_discriminant needs a 2-plane distribution")
-    out = _rps_of(*_e_restricted(pack, zdist))
+    out = _rps_of(*_e_restricted(pack, _generators(zdist, pack.points)[0]))
     return float(out[0]) if pack.mj.single else out
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -208,9 +209,10 @@ def _shared_evaluation_configs(tmp_path):
 
 @pytest.mark.parametrize("case", ["walker", "conformal_walker", "general"])
 def test_pipeline_residuals_equal_public_wrappers(case, tmp_path):
-    """The pipeline's residuals read the connection of its curvature pack;
-    the public wrappers build their own connection from order-2 metric
-    jets.  Both must give the same numbers bit for bit."""
+    """The pipeline's residuals read the connection of its curvature pack,
+    and its quartics and Ricci restriction read the chunk's frame; the
+    public wrappers build their own connection from order-2 metric jets and
+    their own frame.  Both must give the same numbers bit for bit."""
     from nullplane.frames import (
         ProjParam,
         alpha_dist,
@@ -243,6 +245,18 @@ def test_pipeline_residuals_equal_public_wrappers(case, tmp_path):
         for kind, values in want.items():
             got = [rec["residuals"][name][kind] for rec in report.point_records]
             assert got == [float(val) for val in values], (name, kind)
+
+    from nullplane.tensor import curvature, metric_jet
+    from nullplane.weylalg import ricci_null_residual, rps_discriminant, weyl_quartic
+
+    pack = curvature(metric_jet(spec, pts, 2))
+    for side, key in (("SD", "quartic_sd"), ("ASD", "quartic_asd")):
+        want_coeffs = [[float(c) for c in form.coeffs] for form in weyl_quartic(pack, tet, side)]
+        assert [rec[key]["coeffs"] for rec in report.point_records] == want_coeffs, side
+    got = [rec["ricci_null_residual"] for rec in report.point_records]
+    assert got == [float(val) for val in ricci_null_residual(pack, dists["Z"])]
+    got = [rec["rps_discriminant"] for rec in report.point_records]
+    assert got == [float(val) for val in rps_discriminant(pack, dists["Z"])]
 
 
 @pytest.mark.parametrize("case", ["walker", "conformal_walker", "general"])
@@ -301,6 +315,30 @@ def test_tetrad_normalization_tolerance_is_per_point(tmp_path):
         with pytest.raises(NullplaneError, match=r"tetrad normalization defect") as info:
             _chunk_arrays(cfg, np.array(pts), None)
         assert str(info.value).endswith(f"[at point {small}]")
+
+
+@pytest.mark.parametrize(
+    "replace",
+    [
+        ("g_ux = exp(y/2)", "g_ux = exp(y/2) + ln(u - 0.9) - ln(u - 0.9)"),
+        ("l0 = exp(-y/4)", "l0 = 1 + ln(u - 0.9) - ln(u - 0.9)"),
+    ],
+    ids=["metric", "tetrad"],
+)
+def test_domain_error_names_point(replace, tmp_path, capsys):
+    """A metric or tetrad component outside its domain at some samples
+    names the first of them, in the library and on the CLI."""
+    path = tmp_path / "general.ini"
+    path.write_text(GENERAL_SPEC.replace(*replace))
+    cfg = load_spec_file(str(path))
+    cfg.points = 6
+    pts = sample_points(cfg)
+    where = f"[at point {pts[np.flatnonzero(pts[:, 0] <= 0.9)[0]].tolist()}]"
+    with pytest.raises(NullplaneError, match=r"^ln of non-positive value in subexpression 'ln\(u - 0\.9\)' \[at") as info:
+        run_analysis(cfg)
+    assert str(info.value).endswith(where)
+    assert main(["analyze", "--spec", str(path), "--points", "6"]) == 1
+    assert capsys.readouterr().err.rstrip("\n").endswith(where)
 
 
 def test_adapted_middle_coeff_matches_factored_quartic():
@@ -383,6 +421,54 @@ def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
         assert orders == [2] * want[case]["metric_jet"], case  # curvature needs second partials only
 
 
+@pytest.mark.parametrize("case", ["walker", "conformal_walker", "general"])
+def test_one_frame_evaluation_per_chunk(case, monkeypatch, tmp_path):
+    """Each tetrad and t-field component expression is evaluated once per
+    chunk; a conformal_walker chunk evaluates the walker part's tetrad once
+    more.  Reading a component from the frame is not an evaluation."""
+    import collections
+    import importlib
+
+    from nullplane.weylalg import default_kappa
+
+    jets = importlib.import_module("nullplane.exprkit.jets")
+    frames = importlib.import_module("nullplane.frames")
+    analyze = importlib.import_module("nullplane.lab.analyze")
+    weylalg = importlib.import_module("nullplane.weylalg")
+    dual = importlib.import_module("nullplane.tensor.dual")
+
+    default_kappa()  # the cached calibration is not part of a chunk
+    cfg = _shared_evaluation_configs(tmp_path)[case]
+    components: dict = {}  # id -> component; holding them keeps the ids unique
+
+    def track(tet):
+        for vec in tet.vectors().values():
+            components.update((id(comp), comp) for comp in vec)
+        return tet
+
+    components.update((id(comp), comp) for comp in (cfg.t_field.t0, cfg.t_field.t1))
+    if cfg.tetrad is not None:
+        track(cfg.tetrad)
+    monkeypatch.setattr(analyze, "walker_tetrad", lambda spec: track(frames.walker_tetrad(spec)))
+
+    counts: collections.Counter = collections.Counter()
+
+    def counted(e, pts, order, *known):
+        if id(e) in components and not (known and known[0] is not None and id(e) in known[0]):
+            counts[id(e)] += 1
+        return jets._eval_coeffs(e, pts, order, *known)
+
+    # weylalg and tensor.dual evaluate no expressions now; patching them
+    # anyway catches an evaluation that comes back there
+    for module in (frames, weylalg, dual):
+        monkeypatch.setattr(module, "_eval_coeffs", counted, raising=False)
+
+    assert cfg.points <= analyze._CHUNK_POINTS  # one chunk
+    run_analysis(cfg)
+    assert len(components) == {"walker": 18, "conformal_walker": 34, "general": 18}[case]
+    assert dict(counts) == dict.fromkeys(components, 1)
+
+
 def test_report_json_roundtrip():
     cfg = AnalysisConfig(spec=mk_two_sided(u**2, v**2, u).spec, points=4, seed=1)
     report = run_analysis(cfg)
@@ -409,6 +495,43 @@ def test_cli_analyze_text(spec_file, capsys):
     code = main(["analyze", "--spec", spec_file, "--points", "4", "--format", "text"])
     assert code == 0
     assert "verdict: yes" in capsys.readouterr().out
+
+
+def test_cli_family_text_report(capsys):
+    """The text report gives each instance's verdict and flags, and no
+    jet order (no option sets one)."""
+    argv = ["family", "--name", "cp", "--F", "x*y", "--points", "4"]
+    assert main(argv) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "text"]) == 0
+    text = capsys.readouterr().out
+    assert "order:" not in text
+    for report in reports.values():
+        assert f"verdict: {report['verdict']}" in text
+        for key, value in report["flags"].items():
+            assert re.search(rf"^ +{key} +{value}$", text, re.MULTILINE), key
+
+
+def test_cli_closed_stdout_exits_141():
+    """A reader that closes the pipe early gets exit status 141
+    (128 + SIGPIPE) and nothing on stderr."""
+    import os
+    import subprocess
+    import sys
+
+    import nullplane
+
+    src = os.path.dirname(os.path.dirname(nullplane.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["family", "--name", "cp", "--F", "x*y", "--points", "200"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nullplane.lab.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_cli_analyze_bad_spec(tmp_path, capsys):
