@@ -88,17 +88,15 @@ def _double_root_defect(coeffs: np.ndarray, tvals: np.ndarray, zero_form: np.nda
 
 
 def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
-    if pts.shape[0] == 1:
-        # numpy sums a one-point batch in another order than a larger one, so
-        # a lone point is analysed as two copies to keep its batch bytes
-        return _map_chunks([_chunk_arrays(cfg, np.repeat(pts, 2, axis=0), kappa)], lambda parts: parts[0][:1])
+    """Per-point columns of one chunk: each is an array or a list whose
+    first axis is the point.  The residuals are keyed (distribution, kind)."""
     spec = cfg.spec
     mj = _attribute_point(lambda p: metric_jet(spec, p, 2), pts)  # curvature needs second partials only
     pack = curvature(mj)
 
     out: dict = {
         "scalar": pack.scalar_val,
-        "einstein": np.atleast_1d(einstein_residual(pack)),
+        "einstein": einstein_residual(pack),
         "ricci_scale": np.max(np.abs(pack.ricci_val), axis=(1, 2)),
         "riemann_scale": pack.riemann_scale(),
     }
@@ -106,7 +104,6 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
     tet = cfg.tetrad
     if spec.kind in (WALKER, CONFORMAL_WALKER):
         tet = walker_tetrad(spec)
-    out["has_frames"] = tet is not None
 
     if tet is not None:
         # the one evaluation of the tetrad and the t-field in this chunk
@@ -126,20 +123,14 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
         volume_and_duals(mj, frame)  # orientation calibration check
 
         tvals = frame.t_values()  # (2, P)
-        sd_forms = weyl_quartic(pack, frame, "SD")
-        asd_forms = weyl_quartic(pack, frame, "ASD")
-        sd_roots = [root_structure(f) for f in sd_forms]
-        asd_roots = [root_structure(f) for f in asd_forms]
-        out["sd_coeffs"] = np.stack([f.coeffs for f in sd_forms])
-        out["asd_coeffs"] = np.stack([f.coeffs for f in asd_forms])
-        out["sd_roots"] = sd_roots
-        out["asd_roots"] = asd_roots
-        out["sd_dir_defect"] = _double_root_defect(
-            out["sd_coeffs"], np.array([[1.0], [0.0]]), np.array([rl.type_string == "O" for rl in sd_roots])
-        )
-        out["asd_dir_defect"] = _double_root_defect(
-            out["asd_coeffs"], tvals, np.array([rl.type_string == "O" for rl in asd_roots])
-        )
+        # the SD direction is (1 : 0), the ASD direction the t-field's
+        for side, direction in (("SD", np.array([[1.0], [0.0]])), ("ASD", tvals)):
+            forms = weyl_quartic(pack, frame, side)
+            roots = [root_structure(f) for f in forms]
+            coeffs = np.stack([f.coeffs for f in forms])
+            out[f"{side}_coeffs"], out[f"{side}_roots"] = coeffs, roots
+            zero_form = np.array([rl.type_string == "O" for rl in roots])
+            out[f"{side}_dir_defect"] = _double_root_defect(coeffs, direction, zero_form)
 
         zdist = alpha_dist(ProjParam.of(1, 0), tet)
         dists = {
@@ -150,14 +141,10 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
         }
         gamma = pack.gamma[..., 0, :]  # one connection for every residual
         gens = {name: _generators(dist, pts, frame) for name, dist in dists.items()}
-        out["residuals"] = {
-            name: {
-                "frobenius": _frobenius_batch(gen),
-                "autoparallel": _autoparallel_batch(gen, gamma),
-                "parallel": _parallel_batch(gen, gamma),
-            }
-            for name, gen in gens.items()
-        }
+        for name, gen in gens.items():
+            out[name, "frobenius"] = _frobenius_batch(gen)
+            out[name, "autoparallel"] = _autoparallel_batch(gen, gamma)
+            out[name, "parallel"] = _parallel_batch(gen, gamma)
         m, den = _e_restricted(pack, gens["Z"][0])  # one Ricci restriction for both outputs
         out["ricci_null"] = _ricci_null_of(m, den)
         out["rps_disc"] = _rps_of(m, den)
@@ -165,15 +152,18 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
     if spec.kind in (WALKER, CONFORMAL_WALKER):
         # obstruction lives in the walker gauge; the flag/verdict use the
         # middle coefficient in the frame adapted to the t-field direction
-        wp = spec.walker_part()
         if spec.kind == WALKER:
             wpack = pack
-            wasd_coeffs = out["asd_coeffs"]
+            wasd_coeffs = out["ASD_coeffs"]
         else:
+            wp = spec.walker_part()
             wpack = curvature(metric_jet(wp, pts, 2))
             wasd_coeffs = np.stack(
                 [f.coeffs for f in weyl_quartic(wpack, walker_tetrad(wp), "ASD")]
             )
+            # the box of chi reads the walker part's connection from its pack
+            out["box_chi_generic"] = box_scalar(wpack, spec.chi)
+            out["box_chi_closed"] = walker_box_closed_form(wp.a, wp.b, wp.c, spec.chi, pts)
         c2_raw = wasd_coeffs[:, 2]
         c2_adapted = _adapted_middle_coeff(wasd_coeffs, tvals)
         out["obstruction"] = c2_raw / (6.0 * kappa.value) - wpack.scalar_val / 12.0
@@ -181,28 +171,7 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
         out["obstruction_scale"] = np.maximum(
             np.abs(wpack.scalar_val) / 12.0, 1e-2 * np.max(np.abs(wpack.riemann_val), axis=(1, 2, 3, 4))
         )
-        if spec.kind == CONFORMAL_WALKER:
-            out["box_chi_generic"] = np.atleast_1d(box_scalar(wp, spec.chi, pts))
-            out["box_chi_closed"] = np.atleast_1d(walker_box_closed_form(wp.a, wp.b, wp.c, spec.chi, pts))
     return out
-
-
-def _map_chunks(chunks: list, join) -> dict:
-    """Join the per-point entries (arrays, lists, residual tables) of the
-    chunk dicts with join(parts); other entries come from the first chunk."""
-    merged: dict = {}
-    first = chunks[0]
-    for key, value in first.items():
-        if isinstance(value, (np.ndarray, list)):
-            merged[key] = join([c[key] for c in chunks])
-        elif key == "residuals":
-            merged[key] = {
-                name: {kind: join([c[key][name][kind] for c in chunks]) for kind in value[name]}
-                for name in value
-            }
-        else:
-            merged[key] = value
-    return merged
 
 
 def _concat(parts: list):
@@ -214,105 +183,83 @@ def _concat(parts: list):
 def run_analysis(cfg: AnalysisConfig) -> Report:
     """Analyze the configured metric at seeded sample points."""
     pts = sample_points(cfg)
-    kappa = default_kappa() if cfg.spec.kind in (WALKER, CONFORMAL_WALKER) else None
+    walker_kind = cfg.spec.kind in (WALKER, CONFORMAL_WALKER)
+    kappa = default_kappa() if walker_kind else None
 
-    nchunks = -(-pts.shape[0] // _CHUNK_POINTS)
-    data = _map_chunks([_chunk_arrays(cfg, chunk, kappa) for chunk in np.array_split(pts, nchunks)], _concat)
+    parts = np.array_split(pts, -(-pts.shape[0] // _CHUNK_POINTS))
+    # numpy sums a one-point batch in another order than a larger one, so a
+    # lone point is analysed as two copies and keeps the first
+    chunks = [_chunk_arrays(cfg, np.repeat(part, 2, axis=0) if len(part) == 1 else part, kappa) for part in parts]
+    data = {key: _concat([chunk[key][: len(part)] for part, chunk in zip(parts, chunks)]) for key in chunks[0]}
 
     tol0 = cfg.tol_zero
-    flags: dict = {}
-    has_frames = data["has_frames"]
-    walker_kind = cfg.spec.kind in (WALKER, CONFORMAL_WALKER)
+    has_frames = "SD_roots" in data
 
-    if has_frames:
-        res = data["residuals"]
-        z_parallel = bool(np.max(res["Z"]["parallel"]) < tol0)
-        w_integrable = bool(np.max(res["W"]["frobenius"]) < tol0)
-        w_parallel = bool(np.max(res["W"]["parallel"]) < tol0)
-        h_integrable = bool(np.max(res["H"]["frobenius"]) < tol0)
-        sd_flag = bool(all(rl.type_string == "O" for rl in data["asd_roots"]))
-        ricci_small = bool(np.max(data["ricci_scale"] / np.maximum(data["riemann_scale"], 1e-30)) < tol0)
-        flags.update(
-            {
-                "walker_form": bool(walker_kind or cfg.tetrad is not None) and z_parallel,
-                "Z_parallel": z_parallel,
-                "W_integrable": w_integrable,
-                "W_parallel": w_parallel,
-                "H_integrable": h_integrable,
-                "sesquiWalker": z_parallel and w_integrable,
-                "integrable_sesquiWalker": z_parallel and w_integrable and h_integrable,
-                "two_sided": z_parallel and w_parallel,
-                "SD": sd_flag,
-                "ricci_null": bool(np.max(data["ricci_null"]) < tol0),
-                "left_flat": ricci_small and sd_flag,
-            }
-        )
-    else:
-        for key in (
-            "walker_form",
-            "Z_parallel",
-            "W_integrable",
-            "W_parallel",
-            "H_integrable",
-            "sesquiWalker",
-            "integrable_sesquiWalker",
-            "two_sided",
-            "SD",
-            "ricci_null",
-            "left_flat",
-        ):
-            flags[key] = None
+    def below_tol(key) -> bool | None:
+        """Whether the column's maximum is below tol_zero; None if the run has no such column."""
+        return bool(np.max(data[key]) < tol0) if key in data else None
 
+    # a flag of a run without frames is None, and `None and x` is None
+    z_parallel = below_tol(("Z", "parallel"))
+    w_integrable = below_tol(("W", "frobenius"))
+    w_parallel = below_tol(("W", "parallel"))
+    h_integrable = below_tol(("H", "frobenius"))
+    sd_flag = all(rl.type_string == "O" for rl in data["ASD_roots"]) if has_frames else None
+    ricci_small = bool(np.max(data["ricci_scale"] / np.maximum(data["riemann_scale"], 1e-30)) < tol0)
+    obstruction_zero = None
     if walker_kind:
-        obs_ok = bool(
-            np.max(np.abs(data["obstruction_adapted"]) / np.maximum(data["obstruction_scale"], 1e-30)) < tol0
-        )
-        flags["obstruction_zero"] = obs_ok
-    else:
-        flags["obstruction_zero"] = None
+        obs = np.abs(data["obstruction_adapted"]) / np.maximum(data["obstruction_scale"], 1e-30)
+        obstruction_zero = bool(np.max(obs) < tol0)
+    flags = {
+        "walker_form": z_parallel,
+        "Z_parallel": z_parallel,
+        "W_integrable": w_integrable,
+        "W_parallel": w_parallel,
+        "H_integrable": h_integrable,
+        "sesquiWalker": z_parallel and w_integrable,
+        "integrable_sesquiWalker": z_parallel and w_integrable and h_integrable,
+        "two_sided": z_parallel and w_parallel,
+        "SD": sd_flag,
+        "ricci_null": below_tol("ricci_null"),
+        "left_flat": sd_flag and ricci_small,
+        "obstruction_zero": obstruction_zero,
+    }
 
     if not walker_kind:
         verdict, reason = "inconclusive", "general-kind metric has no distinguished walker gauge"
-    elif not flags["H_integrable"]:
+    elif not h_integrable:
         verdict, reason = "no:H", "the 3-plane distribution is not integrable"
-    elif not (
-        np.max(data["sd_dir_defect"]) < tol0 and np.max(data["asd_dir_defect"]) < tol0
-    ):
+    elif not (below_tol("SD_dir_defect") and below_tol("ASD_dir_defect")):
         verdict, reason = "no:WPS", "a distinguished direction is not a double quartic root"
-    elif not flags["obstruction_zero"]:
+    elif not obstruction_zero:
         verdict, reason = "no:obstruction", "the middle component does not equal S/12 in the walker gauge"
     else:
         verdict, reason = "yes", "all conditions hold at every sampled point"
 
+    cols = {key: col.tolist() if isinstance(col, np.ndarray) else col for key, col in data.items()}
+    residual_keys = [key for key in cols if isinstance(key, tuple)]
     records = []
-    for p in range(pts.shape[0]):
+    for p, point in enumerate(pts.tolist()):
         rec: dict = {
-            "point": [float(c) for c in pts[p]],
-            "scalar_curvature": float(data["scalar"][p]),
-            "einstein_residual": float(data["einstein"][p]),
+            "point": point,
+            "scalar_curvature": cols["scalar"][p],
+            "einstein_residual": cols["einstein"][p],
         }
         if has_frames:
-            rec["ricci_null_residual"] = float(data["ricci_null"][p])
-            rec["rps_discriminant"] = float(data["rps_disc"][p])
-            rec["quartic_sd"] = {
-                "coeffs": [float(c) for c in data["sd_coeffs"][p]],
-                "roots": _roots_to_dict(data["sd_roots"][p]),
-            }
-            rec["quartic_asd"] = {
-                "coeffs": [float(c) for c in data["asd_coeffs"][p]],
-                "roots": _roots_to_dict(data["asd_roots"][p]),
-            }
-            rec["residuals"] = {
-                name: {kind: float(vals[p]) for kind, vals in kinds.items()}
-                for name, kinds in data["residuals"].items()
-            }
+            rec["ricci_null_residual"] = cols["ricci_null"][p]
+            rec["rps_discriminant"] = cols["rps_disc"][p]
+            for side in ("SD", "ASD"):
+                rec[f"quartic_{side.lower()}"] = {
+                    "coeffs": cols[f"{side}_coeffs"][p],
+                    "roots": _roots_to_dict(cols[f"{side}_roots"][p]),
+                }
+            rec["residuals"] = {}
+            for name, kind in residual_keys:
+                rec["residuals"].setdefault(name, {})[kind] = cols[name, kind][p]
         if walker_kind:
-            rec["obstruction"] = float(data["obstruction"][p])
-        if "box_chi_generic" in data:
-            rec["box_chi"] = {
-                "generic": float(data["box_chi_generic"][p]),
-                "closed_form": float(data["box_chi_closed"][p]),
-            }
+            rec["obstruction"] = cols["obstruction"][p]
+        if "box_chi_generic" in cols:
+            rec["box_chi"] = {"generic": cols["box_chi_generic"][p], "closed_form": cols["box_chi_closed"][p]}
         records.append(rec)
 
     return Report(

@@ -184,12 +184,13 @@ def covariant_derivative_values(pack: CurvaturePack, field, direction) -> np.nda
     return out
 
 
-def box_scalar(spec: MetricSpec, chi, p) -> float | np.ndarray:
+def box_scalar(metric: MetricSpec | CurvaturePack, chi, p=None) -> float | np.ndarray:
     """Wave operator g^{ab} nabla_a nabla_b chi, computed from the generic
-    connection (any metric kind)."""
+    connection (any metric kind).  metric is a MetricSpec, evaluated at the
+    point(s) p, or a CurvaturePack, whose connection and points are used."""
     chi = as_expr(chi)
-    mj = metric_jet(spec, p, order=2)
-    pack = christoffel(mj)
+    pack = metric if isinstance(metric, CurvaturePack) else christoffel(metric_jet(metric, p, order=2))
+    mj = pack.mj
     cj = _eval_coeffs(chi, mj.points, 2)
     hess = deriv_coeffs(deriv_coeffs(cj, 2), 1)[..., 0, :]  # (4,4,P): d_a d_b chi
     grad = deriv_coeffs(cj, 2)[:, 0, :]  # (4,P)

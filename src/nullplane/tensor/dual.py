@@ -62,12 +62,6 @@ class DualOperator:
         return 0.5 * np.einsum("pefab,pefcd->pabcd", self.eps_mixed, tensor)
 
 
-def _wedge_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^i b^j - a^j b^i for component value arrays (4, P) -> (P, 4, 4)."""
-    outer = np.einsum("ip,jp->pij", a, b)
-    return outer - np.swapaxes(outer, 1, 2)
-
-
 def volume_and_duals(mj, tetrad) -> DualOperator:
     """Orientation-calibrated dual operator at the metric jet's points.
 
@@ -83,7 +77,7 @@ def volume_and_duals(mj, tetrad) -> DualOperator:
     dual = DualOperator(sign=1.0, eps_mixed=eps_mixed)
 
     frame = _as_frame(tetrad, mj.points)
-    biv = _wedge_values(frame.values("l"), frame.values("mt"))
+    biv = np.moveaxis(frame.bases["SD"][0][..., 0, :], -1, 0)  # values of l ^ mt, (P, 4, 4)
     starred = dual.star_bivector(biv)
     norm = np.max(np.abs(biv), axis=(1, 2))
     if np.any(norm <= 0.0):

@@ -212,7 +212,9 @@ def test_pipeline_residuals_equal_public_wrappers(case, tmp_path):
     """The pipeline's residuals read the connection of its curvature pack,
     and its quartics and Ricci restriction read the chunk's frame; the
     public wrappers build their own connection from order-2 metric jets and
-    their own frame.  Both must give the same numbers bit for bit."""
+    their own frame.  Both must give the same numbers bit for bit.  So must
+    the obstruction and the box of chi, which the public functions compute
+    from the walker part's own metric."""
     from nullplane.frames import (
         ProjParam,
         alpha_dist,
@@ -257,6 +259,18 @@ def test_pipeline_residuals_equal_public_wrappers(case, tmp_path):
     assert got == [float(val) for val in ricci_null_residual(pack, dists["Z"])]
     got = [rec["rps_discriminant"] for rec in report.point_records]
     assert got == [float(val) for val in rps_discriminant(pack, dists["Z"])]
+
+    if case == "general":
+        return
+    from nullplane.tensor import box_scalar
+    from nullplane.weylalg import obstruction_residual
+
+    wp = spec.walker_part()
+    got = [rec["obstruction"] for rec in report.point_records]
+    assert got == [float(val) for val in obstruction_residual(wp, pts)]
+    if case == "conformal_walker":
+        got = [rec["box_chi"]["generic"] for rec in report.point_records]
+        assert got == [float(val) for val in box_scalar(wp, spec.chi, pts)]
 
 
 @pytest.mark.parametrize("case", ["walker", "conformal_walker", "general"])
@@ -407,11 +421,12 @@ def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
     for module in (frames, tcurv):
         monkeypatch.setattr(module, "christoffel", counted("christoffel", module.christoffel))
 
-    # the conformal_walker run adds the walker-part curvature and box_scalar
+    # a conformal_walker chunk evaluates two metrics, the metric and its walker
+    # part; box_scalar reads the walker part's pack
     want = {
         "walker": {"metric_jet": 1, "christoffel": 1},
         "general": {"metric_jet": 1, "christoffel": 1},
-        "conformal_walker": {"metric_jet": 3, "christoffel": 3},
+        "conformal_walker": {"metric_jet": 2, "christoffel": 2},
     }
     for case, cfg in _shared_evaluation_configs(tmp_path).items():
         counts.update(metric_jet=0, christoffel=0)
