@@ -126,7 +126,7 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
         # the SD direction is (1 : 0), the ASD direction the t-field's
         for side, direction in (("SD", np.array([[1.0], [0.0]])), ("ASD", tvals)):
             forms = weyl_quartic(pack, frame, side)
-            roots = [root_structure(f) for f in forms]
+            roots = root_structure(forms)
             coeffs = np.stack([f.coeffs for f in forms])
             out[f"{side}_coeffs"], out[f"{side}_roots"] = coeffs, roots
             zero_form = np.array([rl.type_string == "O" for rl in roots])

@@ -154,69 +154,63 @@ def weyl_quartic(pack: CurvaturePack, tet, side: str):
 # ---------------------------------------------------------------------------
 # root structure
 
-
-def _cluster_roots(roots: np.ndarray, tol: float):
-    remaining = list(roots)
-    clusters = []
-    while remaining:
-        n = len(remaining)
-        chosen = None
-        for m in range(n, 0, -1):
-            radius = tol ** (1.0 / m)
-            for combo in combinations(range(n), m):
-                group = [remaining[i] for i in combo]
-                center = sum(group) / m
-                r = radius * max(1.0, abs(center))
-                if all(abs(z - center) <= r for z in group):
-                    chosen = (combo, center, m, r)
-                    break
-            if chosen:
-                break
-        combo, center, m, r = chosen
-        clusters.append((center, m, r))
-        remaining = [z for i, z in enumerate(remaining) if i not in combo]
-    return clusters
+# Candidate clusters of four root slots in the greedy search order: size
+# descending, then lexicographic.  A point with fewer roots uses those
+# within its slots.
+_CLUSTERS = [s for m in (4, 3, 2, 1) for s in combinations(range(4), m)]
 
 
-def root_structure(q: QuarticForm, tol: float = 1e-8) -> RootList:
-    """Roots with multiplicities; near-zero leading coefficients deflate to
-    roots at infinity, and clusters merge within tol^(1/multiplicity)."""
-    ref = max(q.ref_scale, _REF_FLOOR)
-    if q.scale <= tol * ref:
-        return RootList(entries=(), type_string="O")
+def _quartic_roots(c: np.ndarray, lead: np.ndarray):
+    """np.roots of each row's polynomial c[i, lead[i]::-1] in np.roots'
+    order, in slots 0..lead-1 of a (k, 4) complex array (no roots where
+    lead < 1), with one np.linalg.eigvals call per degree.  Also returns
+    whether each row's eigenvalues are all real, the case in which np.roots
+    returns floats."""
+    k = c.shape[0]
+    roots = np.zeros((k, 4), dtype=complex)
+    real = np.ones(k, dtype=bool)
+    # np.roots strips exact trailing zeros and appends their roots as zeros
+    trailing = np.cumprod(c == 0.0, axis=1).sum(axis=1)
+    degree = lead - trailing
+    for n in range(1, 5):
+        rows = np.flatnonzero(degree == n)
+        if rows.size == 0:
+            continue
+        p = c[rows[:, None], lead[rows, None] - np.arange(n + 1)]  # highest power first
+        companion = np.zeros((rows.size, n, n))
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        eig = np.linalg.eigvals(companion)
+        roots[rows, :n] = eig
+        real[rows] = np.all(eig.imag == 0.0, axis=1)
+    return roots, real
 
-    c = q.coeffs
-    lead = 4
-    m_inf = 0
-    while lead >= 0 and abs(c[lead]) < tol * q.scale:
-        m_inf += 1
-        lead -= 1
+
+def _classify(clusters: list, m_inf: int) -> RootList:
+    """RootList of one point's (center, multiplicity, radius) clusters."""
     entries = []
-    if lead >= 1:
-        roots = np.roots(c[lead::-1])
-        clusters = _cluster_roots(roots, tol)
-        complex_clusters = []
-        for center, m, r in clusters:
-            if abs(center.imag) <= r:
-                entries.append(RootEntry("real", complex(center.real, 0.0), m))
-            else:
-                complex_clusters.append((center, m))
-        used = [False] * len(complex_clusters)
-        for i, (z, m) in enumerate(complex_clusters):
-            if used[i]:
+    complex_clusters = []
+    for center, m, r in clusters:
+        if abs(center.imag) <= r:
+            entries.append(RootEntry("real", complex(center.real, 0.0), m))
+        else:
+            complex_clusters.append((center, m))
+    used = [False] * len(complex_clusters)
+    for i, (z, m) in enumerate(complex_clusters):
+        if used[i]:
+            continue
+        used[i] = True
+        best, bestd = None, np.inf
+        for j in range(i + 1, len(complex_clusters)):
+            if used[j] or complex_clusters[j][1] != m:
                 continue
-            used[i] = True
-            best, bestd = None, np.inf
-            for j in range(i + 1, len(complex_clusters)):
-                if used[j] or complex_clusters[j][1] != m:
-                    continue
-                d = abs(np.conj(z) - complex_clusters[j][0])
-                if d < bestd:
-                    best, bestd = j, d
-            if best is not None:
-                used[best] = True
-            rep = z if z.imag > 0 else np.conj(z)
-            entries.append(RootEntry("complex_pair", complex(rep), m))
+            d = abs(z.conjugate() - complex_clusters[j][0])
+            if d < bestd:
+                best, bestd = j, d
+        if best is not None:
+            used[best] = True
+        rep = z if z.imag > 0 else z.conjugate()
+        entries.append(RootEntry("complex_pair", rep, m))
     if m_inf:
         entries.append(RootEntry("inf", None, m_inf))
 
@@ -226,6 +220,59 @@ def root_structure(q: QuarticForm, tol: float = 1e-8) -> RootList:
         mults.extend([e.multiplicity] * (2 if e.kind == "complex_pair" else 1))
     type_string = "{" + "".join(str(m) for m in sorted(mults, reverse=True)) + "}"
     return RootList(entries=tuple(entries), type_string=type_string)
+
+
+def root_structure(q, tol: float = 1e-8):
+    """Roots with multiplicities of a QuarticForm, or of each form in a list
+    (classified in one batch); returns a RootList or a list of them.
+
+    Near-zero leading coefficients deflate to roots at infinity.  The finite
+    roots are np.roots' eigenvalues; a greedy search then takes the first
+    cluster of the remaining roots, largest first, whose members lie within
+    tol^(1/multiplicity) (relative beyond 1) of their mean.
+    """
+    single = isinstance(q, QuarticForm)
+    forms = [q] if single else list(q)
+    k = len(forms)
+    c = np.array([f.coeffs for f in forms], dtype=float).reshape(k, 5)
+    scale = np.array([f.scale for f in forms], dtype=float)
+    ref = np.array([max(f.ref_scale, _REF_FLOOR) for f in forms], dtype=float)
+    zero = scale <= tol * ref
+    small = np.abs(c[:, ::-1]) < tol * scale[:, None]
+    m_inf = np.cumprod(small, axis=1).sum(axis=1)
+    lead = 4 - m_inf  # the number of finite roots, if positive
+    rows = np.flatnonzero(~zero)
+    roots, real = _quartic_roots(c[rows], lead[rows])
+
+    remaining = np.arange(4) < lead[rows, None]
+    centers, radii, taken = [], [], []
+    for combo in _CLUSTERS:
+        m = len(combo)
+        total = np.zeros(rows.size, dtype=complex)  # sum(group) starts at 0
+        for i in combo:
+            total = total + roots[:, i]
+        # a point whose roots np.roots returns as floats divides as floats
+        center = np.where(real, total.real / m, total / m)
+        r = tol ** (1.0 / m) * np.maximum(1.0, np.abs(center))
+        fits = np.all([np.abs(roots[:, i] - center) <= r for i in combo], axis=0)
+        take = fits & remaining[:, list(combo)].all(axis=1)
+        remaining[np.ix_(take, combo)] = False
+        centers.append(center)
+        radii.append(r)
+        taken.append(take)
+
+    out = [RootList(entries=(), type_string="O")] * k
+    per_point = zip(
+        rows.tolist(),
+        np.stack(centers, axis=1).tolist(),
+        np.stack(radii, axis=1).tolist(),
+        np.stack(taken, axis=1).tolist(),
+        m_inf[rows].tolist(),
+    )
+    for p, cs, rs, ts, mi in per_point:
+        clusters = [(cs[j], len(combo), rs[j]) for j, combo in enumerate(_CLUSTERS) if ts[j]]
+        out[p] = _classify(clusters, mi)
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

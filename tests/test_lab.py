@@ -484,6 +484,29 @@ def test_one_frame_evaluation_per_chunk(case, monkeypatch, tmp_path):
     assert dict(counts) == dict.fromkeys(components, 1)
 
 
+def test_roots_classified_once_per_chunk_and_side(monkeypatch, tmp_path):
+    """The pipeline hands root_structure each chunk's forms of one side as a
+    list: P = 600 makes three chunks of 200, so six calls."""
+    import importlib
+
+    from nullplane.weylalg import QuarticForm
+
+    analyze = importlib.import_module("nullplane.lab.analyze")
+    original = analyze.root_structure
+    calls = []
+
+    def recorded(forms, *args, **kwargs):
+        calls.append((type(forms), {f.side for f in forms}, len(forms)))
+        assert all(isinstance(f, QuarticForm) for f in forms)
+        return original(forms, *args, **kwargs)
+
+    monkeypatch.setattr(analyze, "root_structure", recorded)
+    cfg = _shared_evaluation_configs(tmp_path)["walker"]
+    cfg.points = 600
+    run_analysis(cfg)
+    assert calls == [(list, {"SD"}, 200), (list, {"ASD"}, 200)] * 3
+
+
 def test_report_json_roundtrip():
     cfg = AnalysisConfig(spec=mk_two_sided(u**2, v**2, u).spec, points=4, seed=1)
     report = run_analysis(cfg)

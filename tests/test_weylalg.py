@@ -1,4 +1,7 @@
 import copy
+from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,7 +11,10 @@ from nullplane.exprkit import Num, eval_scalar, parse_expr, u, v, x, y
 from nullplane.frames import ProjParam, Tetrad, alpha_dist, walker_tetrad
 from nullplane.tensor import MetricSpec, conformal_rescale, curvature, metric_jet, volume_and_duals, weyl_split
 from nullplane.weylalg import (
+    _REF_FLOOR,
     QuarticForm,
+    RootEntry,
+    RootList,
     calibrate_kappa,
     default_kappa,
     einstein_residual,
@@ -205,6 +211,212 @@ def test_root_invariance_under_rescaling():
         r1, r2 = root_structure(f), root_structure(fr)
         assert r1.type_string == r2.type_string
         assert r1.entries[0].value.real == pytest.approx(r2.entries[0].value.real, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# batched root structure against a per-point reference and an invariant
+# classifier
+
+
+def _reference_cluster_roots(roots: np.ndarray, tol: float):
+    remaining = list(roots)
+    clusters = []
+    while remaining:
+        n = len(remaining)
+        chosen = None
+        for m in range(n, 0, -1):
+            radius = tol ** (1.0 / m)
+            for combo in combinations(range(n), m):
+                group = [remaining[i] for i in combo]
+                center = sum(group) / m
+                r = radius * max(1.0, abs(center))
+                if all(abs(z - center) <= r for z in group):
+                    chosen = (combo, center, m, r)
+                    break
+            if chosen:
+                break
+        combo, center, m, r = chosen
+        clusters.append((center, m, r))
+        remaining = [z for i, z in enumerate(remaining) if i not in combo]
+    return clusters
+
+
+def _reference_root_structure(q: QuarticForm, tol: float = 1e-8) -> RootList:
+    """The per-point classification: np.roots, then a greedy search over
+    subsets of the remaining roots."""
+    ref = max(q.ref_scale, _REF_FLOOR)
+    if q.scale <= tol * ref:
+        return RootList(entries=(), type_string="O")
+
+    c = q.coeffs
+    lead = 4
+    m_inf = 0
+    while lead >= 0 and abs(c[lead]) < tol * q.scale:
+        m_inf += 1
+        lead -= 1
+    entries = []
+    if lead >= 1:
+        roots = np.roots(c[lead::-1])
+        clusters = _reference_cluster_roots(roots, tol)
+        complex_clusters = []
+        for center, m, r in clusters:
+            if abs(center.imag) <= r:
+                entries.append(RootEntry("real", complex(center.real, 0.0), m))
+            else:
+                complex_clusters.append((center, m))
+        used = [False] * len(complex_clusters)
+        for i, (z, m) in enumerate(complex_clusters):
+            if used[i]:
+                continue
+            used[i] = True
+            best, bestd = None, np.inf
+            for j in range(i + 1, len(complex_clusters)):
+                if used[j] or complex_clusters[j][1] != m:
+                    continue
+                d = abs(np.conj(z) - complex_clusters[j][0])
+                if d < bestd:
+                    best, bestd = j, d
+            if best is not None:
+                used[best] = True
+            rep = z if z.imag > 0 else np.conj(z)
+            entries.append(RootEntry("complex_pair", complex(rep), m))
+    if m_inf:
+        entries.append(RootEntry("inf", None, m_inf))
+
+    entries.sort(key=lambda e: (e.kind, -e.multiplicity, abs(e.value) if e.value is not None else 0.0))
+    mults = []
+    for e in entries:
+        mults.extend([e.multiplicity] * (2 if e.kind == "complex_pair" else 1))
+    type_string = "{" + "".join(str(m) for m in sorted(mults, reverse=True)) + "}"
+    return RootList(entries=tuple(entries), type_string=type_string)
+
+
+def _seeded_quartics(seed: int, count: int) -> list:
+    """Uniform random quartics and quartics from roots of multiplicity 2, 3
+    and 4 (real and double complex pairs), with leading coefficients below
+    tol, exact-zero trailing coefficients, 1e-13 noise and zero forms."""
+    rng = np.random.default_rng(seed)
+    forms = []
+    for i in range(count):
+        kind = i % 10
+        if kind == 0:
+            c = rng.uniform(-2, 2, 5)
+        elif kind in (1, 2, 3):  # one root of multiplicity kind + 1
+            r = rng.uniform(-3, 3)
+            c = np.poly([r] * (kind + 1) + list(rng.uniform(-3, 3, 3 - kind)))[::-1] * rng.uniform(0.5, 2)
+        elif kind == 4:  # two double roots, real or a complex pair
+            z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2) * rng.integers(0, 2))
+            w = z.conjugate() if z.imag else rng.uniform(-2, 2)
+            c = np.real(np.poly([z, z, w, w]))[::-1].copy()
+        elif kind == 5:  # leading coefficients below tol
+            c = rng.uniform(-2, 2, 5)
+            c[4] = 1e-10 * rng.uniform(-1, 1)
+            if rng.uniform() < 0.5:
+                c[3] = 1e-11
+        elif kind == 6:  # exact-zero trailing coefficients
+            c = rng.uniform(-2, 2, 5)
+            c[: rng.integers(1, 4)] = 0.0
+        elif kind == 7:  # a triple root under noise
+            r = rng.uniform(-2, 2)
+            c = np.poly([r, r, r, rng.uniform(-2, 2)])[::-1] + 1e-13 * rng.standard_normal(5)
+        elif kind == 8:  # a double root under noise, with a root at infinity
+            r = rng.uniform(-2, 2)
+            c = np.append(np.poly([r, r, rng.uniform(-2, 2)])[::-1], 0.0) + 1e-13 * rng.standard_normal(5)
+        else:  # below the zero-form threshold of a larger curvature reference
+            c = 1e-10 * rng.uniform(-1, 1, 5)
+        c = np.asarray(c, dtype=float)
+        forms.append(QuarticForm("ASD", c, None, float(np.max(np.abs(c))), float(rng.uniform(0.5, 20.0))))
+    return forms
+
+
+def test_root_structure_batch_matches_per_point_reference():
+    forms = _seeded_quartics(7, 6000)
+    got = root_structure(forms)
+    want = [_reference_root_structure(f) for f in forms]
+    assert len(got) == len(want)
+    mismatches = [i for i, (a, b) in enumerate(zip(got, want)) if a != b or repr(a) != repr(b)]
+    assert mismatches == []
+    assert {rl.type_string for rl in want} == {"O", "{1111}", "{211}", "{22}", "{31}", "{4}"}
+    assert root_structure([]) == []
+
+
+def test_root_structure_float_division_branch():
+    """np.roots returns floats when every eigenvalue is real, and a cluster
+    center of floats is a float division; a complex division of the same
+    sum rounds this quartic's triple root differently in the last bit."""
+    hexes = ["-0x1.1dcf6d1e1f1a5p-4", "0x1.aba252d54cbedp-3", "0x1.d81d446764c59p-2", "-0x1.0f28838d43f3dp+1", "0x1.d6b30f98e2b37p+0"]
+    f = _form([float.fromhex(h) for h in hexes])
+    want = _reference_root_structure(f)
+    assert want.type_string == "{31}"
+    assert root_structure(f) == want
+    assert root_structure([f]) == [want]
+
+
+def test_root_structure_single_form_is_one_element_batch():
+    for f in _seeded_quartics(8, 40):
+        assert root_structure([f]) == [root_structure(f)]
+
+
+def _homogeneous_mul(p: list, q: list) -> list:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _dx(p: list) -> list:  # p[k] multiplies x^k y^(d-k)
+    return [k * p[k] for k in range(1, len(p))]
+
+
+def _dy(p: list) -> list:
+    d = len(p) - 1
+    return [(d - k) * p[k] for k in range(d)]
+
+
+def _invariant_type(c: list) -> str:
+    """Root type of the nonzero binary quartic f(x, y) = sum_k c_k x^k y^(4-k)
+    from its invariants I, J and Hessian H, in exact arithmetic."""
+    f = [Fraction(ck) for ck in c]
+    a = [f[k] / comb(4, k) for k in range(5)]
+    i_inv = a[0] * a[4] - 4 * a[1] * a[3] + 3 * a[2] ** 2
+    j_inv = a[0] * a[2] * a[4] + 2 * a[1] * a[2] * a[3] - a[2] ** 3 - a[0] * a[3] ** 2 - a[1] ** 2 * a[4]
+    fxy = _dy(_dx(f))
+    hessian = [
+        s - t for s, t in zip(_homogeneous_mul(_dx(_dx(f)), _dy(_dy(f))), _homogeneous_mul(fxy, fxy))
+    ]
+    if i_inv**3 != 27 * j_inv**2:
+        return "{1111}"
+    if i_inv == 0 and j_inv == 0:
+        return "{4}" if not any(hessian) else "{31}"
+    proportional = all(hessian[j] * f[k] == hessian[k] * f[j] for j in range(5) for k in range(5))
+    return "{22}" if proportional else "{211}"
+
+
+def test_root_structure_agrees_with_invariant_classifier():
+    """Quartics from small-integer roots, some at infinity (a lower degree),
+    and complex pairs t^2 - 2 p t + p^2 + q^2, against the I, J, H rules."""
+    rng = np.random.default_rng(11)
+    pairs = [(0, 1), (1, 1), (-1, 2)]
+    cases = []
+    for _ in range(4000):
+        poly = [int(rng.choice([-3, -2, -1, 1, 2, 3]))]  # c_0 first
+        slots = 4
+        while slots:
+            if slots >= 2 and rng.uniform() < 0.25:
+                p, q = pairs[rng.integers(len(pairs))]
+                factor, slots = [p * p + q * q, -2 * p, 1], slots - 2
+            elif rng.uniform() < 0.2:
+                factor, slots = [1], slots - 1  # a root at infinity
+            else:
+                factor, slots = [-int(rng.integers(-2, 3)), 1], slots - 1
+            poly = [int(coef) for coef in _homogeneous_mul(poly, factor)]
+        cases.append(poly + [0] * (5 - len(poly)))
+    forms = [_form(c, ref=float(max(abs(coef) for coef in c))) for c in cases]
+    got = [rl.type_string for rl in root_structure(forms)]
+    want = [_invariant_type(c) for c in cases]
+    assert [i for i in range(len(cases)) if got[i] != want[i]] == []
+    assert set(want) == {"{1111}", "{211}", "{22}", "{31}", "{4}"}
 
 
 # ---------------------------------------------------------------------------
