@@ -123,11 +123,10 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
         volume_and_duals(mj, frame)  # orientation calibration check
 
         tvals = frame.t_values()  # (2, P)
+        forms = weyl_quartic(pack, frame)
         # the SD direction is (1 : 0), the ASD direction the t-field's
         for side, direction in (("SD", np.array([[1.0], [0.0]])), ("ASD", tvals)):
-            forms = weyl_quartic(pack, frame, side)
-            roots = root_structure(forms)
-            coeffs = np.stack([f.coeffs for f in forms])
+            coeffs, roots = forms[side].coeffs, root_structure(forms[side])
             out[f"{side}_coeffs"], out[f"{side}_roots"] = coeffs, roots
             zero_form = np.array([rl.type_string == "O" for rl in roots])
             out[f"{side}_dir_defect"] = _double_root_defect(coeffs, direction, zero_form)
@@ -158,9 +157,7 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
         else:
             wp = spec.walker_part()
             wpack = curvature(metric_jet(wp, pts, 2))
-            wasd_coeffs = np.stack(
-                [f.coeffs for f in weyl_quartic(wpack, walker_tetrad(wp), "ASD")]
-            )
+            wasd_coeffs = weyl_quartic(wpack, walker_tetrad(wp))["ASD"].coeffs
             # the box of chi reads the walker part's connection from its pack
             out["box_chi_generic"] = box_scalar(wpack, spec.chi)
             out["box_chi_closed"] = walker_box_closed_form(wp.a, wp.b, wp.c, spec.chi, pts)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -96,9 +97,12 @@ def parse_exclude(text: str) -> tuple:
         if name not in COORDS:
             raise ConfigError(f"exclude coordinate {name!r} unknown")
         try:
-            out.append((name, float(value)))
+            value = float(value)
         except ValueError as err:
             raise ConfigError(f"exclude value in {part!r} is not a number") from err
+        if not isfinite(value):
+            raise ConfigError(f"exclude value in {part!r} is not finite")
+        out.append((name, value))
     return tuple(out)
 
 
@@ -187,6 +191,8 @@ def _parse_interval(text: str):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as err:
         raise ConfigError(f"interval bounds in {text!r} are not numbers") from err
+    if not isfinite(hi - lo):  # an infinite or NaN bound, or a width that overflows
+        raise ConfigError(f"interval {text!r} is not finite")
     if not lo < hi:
         raise ConfigError(f"interval {text!r} is empty")
     return (lo, hi)

@@ -41,16 +41,18 @@ _REF_FLOOR = 1e-4  # absolute curvature-reference floor for zero-form detection
 
 @dataclass
 class QuarticForm:
-    """Binary quartic of one duality side at a single point."""
+    """Binary quartic of one duality side at a batch of points, along the
+    leading axis of every array; a single point has no point axis."""
 
     side: str  # "SD" | "ASD"
-    coeffs: np.ndarray  # (5,) c_0..c_4, c_k multiplying tau^k
-    coeff_partials: Optional[np.ndarray]  # (5, 4) coordinate partials, or None
-    scale: float  # max |c_k|
-    ref_scale: float  # curvature x bivector^2 magnitude at the point
+    coeffs: np.ndarray  # (P, 5) c_0..c_4, c_k multiplying tau^k
+    coeff_partials: Optional[np.ndarray]  # (P, 5, 4) coordinate partials, or None
+    ref_scale: np.ndarray  # (P,) curvature x bivector^2 magnitude at each point
 
-    def value(self, tau: float) -> float:
-        return float(np.polyval(self.coeffs[::-1], tau))
+    @property
+    def scale(self) -> np.ndarray:
+        """max |c_k| at each point."""
+        return np.max(np.abs(self.coeffs), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class RootList:
 
 @dataclass(frozen=True)
 class WeylComponents:
-    psi: np.ndarray  # (5,)
+    psi: np.ndarray  # (..., 5)
 
 
 @dataclass(frozen=True)
@@ -92,62 +94,35 @@ def _contract(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     return mul_coeffs(a, b, order, order, order).sum(axis=(0, 1))
 
 
-def weyl_quartic(pack: CurvaturePack, tet, side: str):
-    """Quartic form(s) of one duality side at the pack's point(s).
+def weyl_quartic(pack: CurvaturePack, tet) -> dict:
+    """The SD and ASD quartic forms at the pack's point(s): {"SD": QuarticForm,
+    "ASD": QuarticForm}, each with a leading point axis unless the pack is a
+    single point.
 
     tet is a Tetrad, or a frames.Frame at the pack's points whose bivector
-    bases have the pack's jet order.  Returns a QuarticForm for a
-    single-point pack, else a list of them.  Coefficient coordinate
-    partials are included when the pack was built from order-3 metric
-    jets.  The reference scale is the largest Weyl pairing over both
+    bases have the pack's jet order.  Coefficient coordinate partials are
+    included when the pack was built from order-3 metric jets.  The
+    reference scale is the largest Weyl pairing C(b_i, b_j) over both
     sides' bivector bases, which is the magnitude the coefficients would
     have if the relevant Weyl part were generic.
     """
-    if side not in ("SD", "ASD"):
-        raise ValueError("side must be 'SD' or 'ASD'")
     order = pack.order
-    pts = pack.points
-    bases = _as_frame(tet, pts, basis_order=order).bases
-    b0, b1, b2 = bases[side]
+    bases = _as_frame(tet, pack.points, basis_order=order).bases
+    pairings = {}
+    for side, basis in bases.items():
+        # C(b_i, .) once per basis element, then paired with b_j for j >= i
+        t = [_contract(pack.weyl, b[:, :, None, None], order) for b in basis]
+        pairings[side] = [_contract(t[i], basis[j], order) for i in range(3) for j in range(i, 3)]
+    ref = np.max([np.abs(p[0]) for side_pairings in pairings.values() for p in side_pairings], axis=0)
 
-    # C(b_i, .) once per basis element, then paired with b_j
-    t0, t1, t2 = (_contract(pack.weyl, b[:, :, None, None], order) for b in (b0, b1, b2))
-    coeffs = np.stack(
-        [
-            _contract(t0, b0, order),
-            2.0 * _contract(t0, b1, order),
-            2.0 * _contract(t0, b2, order) + _contract(t1, b1, order),
-            2.0 * _contract(t1, b2, order),
-            _contract(t2, b2, order),
-        ]
-    )  # (5, M, P)
-
-    cvals = pack.weyl_val
-    ref = np.zeros(pts.shape[0])
-    for side_name in ("SD", "ASD"):
-        basis_vals = [b[..., 0, :] for b in bases[side_name]]
-        for i in range(3):
-            for j in range(i, 3):
-                g = np.einsum("pabcd,abp,cdp->p", cvals, basis_vals[i], basis_vals[j])
-                ref = np.maximum(ref, np.abs(g))
-
-    forms = []
-    npts = pts.shape[0]
-    has_partials = order >= 1
-    partials = deriv_coeffs(coeffs, order)[..., 0, :] if has_partials else None  # (5,4,P)
-    for p in range(npts):
-        cp = coeffs[:, 0, p].copy()
-        forms.append(
-            QuarticForm(
-                side=side,
-                coeffs=cp,
-                coeff_partials=partials[:, :, p].copy() if has_partials else None,
-                scale=float(np.max(np.abs(cp))),
-                ref_scale=float(ref[p]),
-            )
-        )
-    if pack.mj.single:
-        return forms[0]
+    point = 0 if pack.mj.single else slice(None)
+    forms = {}
+    for side, (p00, p01, p02, p11, p12, p22) in pairings.items():
+        coeffs = np.stack([p00, 2.0 * p01, 2.0 * p02 + p11, 2.0 * p12, p22])  # (5, M, P)
+        partials = None
+        if order >= 1:
+            partials = np.moveaxis(deriv_coeffs(coeffs, order)[..., 0, :], -1, 0)[point]  # (P, 5, 4)
+        forms[side] = QuarticForm(side, coeffs[:, 0].T[point], partials, ref[point])
     return forms
 
 
@@ -222,22 +197,19 @@ def _classify(clusters: list, m_inf: int) -> RootList:
     return RootList(entries=tuple(entries), type_string=type_string)
 
 
-def root_structure(q, tol: float = 1e-8):
-    """Roots with multiplicities of a QuarticForm, or of each form in a list
-    (classified in one batch); returns a RootList or a list of them.
+def root_structure(q: QuarticForm, tol: float = 1e-8):
+    """Roots with multiplicities of a QuarticForm: a RootList for a
+    single-point form, else a list of them, classified in one batch.
 
     Near-zero leading coefficients deflate to roots at infinity.  The finite
     roots are np.roots' eigenvalues; a greedy search then takes the first
     cluster of the remaining roots, largest first, whose members lie within
     tol^(1/multiplicity) (relative beyond 1) of their mean.
     """
-    single = isinstance(q, QuarticForm)
-    forms = [q] if single else list(q)
-    k = len(forms)
-    c = np.array([f.coeffs for f in forms], dtype=float).reshape(k, 5)
-    scale = np.array([f.scale for f in forms], dtype=float)
-    ref = np.array([max(f.ref_scale, _REF_FLOOR) for f in forms], dtype=float)
-    zero = scale <= tol * ref
+    c = np.reshape(np.asarray(q.coeffs, dtype=float), (-1, 5))
+    k = c.shape[0]
+    scale = np.max(np.abs(c), axis=1)
+    zero = scale <= tol * np.maximum(q.ref_scale, _REF_FLOOR)
     small = np.abs(c[:, ::-1]) < tol * scale[:, None]
     m_inf = np.cumprod(small, axis=1).sum(axis=1)
     lead = 4 - m_inf  # the number of finite roots, if positive
@@ -272,16 +244,17 @@ def root_structure(q, tol: float = 1e-8):
     for p, cs, rs, ts, mi in per_point:
         clusters = [(cs[j], len(combo), rs[j]) for j, combo in enumerate(_CLUSTERS) if ts[j]]
         out[p] = _classify(clusters, mi)
-    return out[0] if single else out
+    return out[0] if np.ndim(q.coeffs) == 1 else out
 
 
 # ---------------------------------------------------------------------------
 # component calibration
 
+_BINOM4 = np.array([comb(4, k) for k in range(5)], dtype=float)
+
 
 def weyl_components(q: QuarticForm, kappa: CalibrationConstant) -> WeylComponents:
-    psi = np.array([q.coeffs[k] / (comb(4, k) * kappa.value) for k in range(5)])
-    return WeylComponents(psi=psi)
+    return WeylComponents(psi=q.coeffs / (_BINOM4 * kappa.value))
 
 
 def calibrate_kappa(spec: MetricSpec, points) -> CalibrationConstant:
@@ -298,14 +271,8 @@ def calibrate_kappa(spec: MetricSpec, points) -> CalibrationConstant:
     if np.all(np.abs(s_vals) < 1e-8):
         raise CalibrationFailure("scalar curvature vanishes at all calibration points")
     keep = np.abs(s_vals) > 1e-8 * max(1.0, np.max(np.abs(s_vals)))
-    ratios = []
-    for side in ("ASD", "SD"):
-        forms = weyl_quartic(pack, tet, side)
-        if pack.mj.single:
-            forms = [forms]
-        c2 = np.array([f.coeffs[2] for f in forms])
-        ratios.append((2.0 * c2 / s_vals)[keep])
-    ratios = np.concatenate(ratios)
+    forms = weyl_quartic(pack, tet)
+    ratios = np.concatenate([(2.0 * forms[side].coeffs[..., 2] / s_vals)[keep] for side in ("ASD", "SD")])
     mean = float(np.mean(ratios))
     if abs(mean) < 1e-12:
         raise CalibrationFailure("calibration ratio is zero (degenerate instance)")
@@ -352,10 +319,7 @@ def obstruction_residual(spec: MetricSpec, p, kappa: Optional[CalibrationConstan
         kappa = default_kappa()
     pts, single = as_points(p)
     pack = curvature(metric_jet(spec, pts, order=2))
-    forms = weyl_quartic(pack, walker_tetrad(spec), "ASD")
-    if pack.mj.single:
-        forms = [forms]
-    c2 = np.array([f.coeffs[2] for f in forms])
+    c2 = weyl_quartic(pack, walker_tetrad(spec))["ASD"].coeffs[..., 2]
     out = c2 / (6.0 * kappa.value) - pack.scalar_val / 12.0
     return float(out[0]) if single else out
 
@@ -425,7 +389,8 @@ def _falling(k: int, j: int) -> float:
 
 
 def implicit_root_jet(q: QuarticForm, t_root: float, vanish_tol: float = 1e-6) -> np.ndarray:
-    """First coordinate partials of an isolated root field of the quartic.
+    """First coordinate partials of an isolated root field of a single-point
+    quartic form.
 
     The root's multiplicity m is detected from the t-derivatives at t_root;
     implicit differentiation is applied to d^{m-1}q/dt^{m-1} = 0.  Raises

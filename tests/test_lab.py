@@ -9,7 +9,7 @@ from nullplane.exprkit import u, v, x, y
 from nullplane.families import mk_cp_example, mk_ricci_null, mk_sd_two_sided, mk_two_sided, mk_walker, random_polys
 from nullplane.lab import AnalysisConfig, load_spec_file, run_analysis, sample_points
 from nullplane.lab.cli import main
-from conftest import sample_box
+from conftest import GENERAL_SPEC, sample_box
 
 GOOD_SPEC = """
 [metric]
@@ -136,42 +136,6 @@ def test_general_kind_inconclusive():
     assert "quartic_sd" not in report.point_records[0]
 
 
-GENERAL_SPEC = """
-; conformal rescale of the walker metric (u^2, v^2, u) by exp(y/4),
-; written out as ten general components with the matching rescaled tetrad
-[metric]
-kind = general
-g_uu = 0
-g_uv = 0
-g_ux = exp(y/2)
-g_uy = 0
-g_vv = 0
-g_vx = 0
-g_vy = exp(y/2)
-g_xx = exp(y/2) * u^2
-g_xy = exp(y/2) * u
-g_yy = exp(y/2) * v^2
-
-[tetrad]
-l0 = exp(-y/4)
-l1 = 0
-l2 = 0
-l3 = 0
-n0 = -u^2/2 * exp(-y/4)
-n1 = -u/2 * exp(-y/4)
-n2 = exp(-y/4)
-n3 = 0
-m0 = u/2 * exp(-y/4)
-m1 = v^2/2 * exp(-y/4)
-m2 = 0
-m3 = -exp(-y/4)
-mt0 = 0
-mt1 = exp(-y/4)
-mt2 = 0
-mt3 = 0
-"""
-
-
 def test_general_kind_with_user_tetrad(tmp_path):
     """A conformal rescale by a factor constant on the null surfaces keeps
     both plane distributions parallel; with a user tetrad the frame flags
@@ -252,8 +216,9 @@ def test_pipeline_residuals_equal_public_wrappers(case, tmp_path):
     from nullplane.weylalg import ricci_null_residual, rps_discriminant, weyl_quartic
 
     pack = curvature(metric_jet(spec, pts, 2))
+    forms = weyl_quartic(pack, tet)
     for side, key in (("SD", "quartic_sd"), ("ASD", "quartic_asd")):
-        want_coeffs = [[float(c) for c in form.coeffs] for form in weyl_quartic(pack, tet, side)]
+        want_coeffs = [[float(c) for c in row] for row in forms[side].coeffs]
         assert [rec[key]["coeffs"] for rec in report.point_records] == want_coeffs, side
     got = [rec["ricci_null_residual"] for rec in report.point_records]
     assert got == [float(val) for val in ricci_null_residual(pack, dists["Z"])]
@@ -485,8 +450,8 @@ def test_one_frame_evaluation_per_chunk(case, monkeypatch, tmp_path):
 
 
 def test_roots_classified_once_per_chunk_and_side(monkeypatch, tmp_path):
-    """The pipeline hands root_structure each chunk's forms of one side as a
-    list: P = 600 makes three chunks of 200, so six calls."""
+    """The pipeline hands root_structure each chunk's form of one side as one
+    batch: P = 600 makes three chunks of 200, so six calls."""
     import importlib
 
     from nullplane.weylalg import QuarticForm
@@ -495,16 +460,38 @@ def test_roots_classified_once_per_chunk_and_side(monkeypatch, tmp_path):
     original = analyze.root_structure
     calls = []
 
-    def recorded(forms, *args, **kwargs):
-        calls.append((type(forms), {f.side for f in forms}, len(forms)))
-        assert all(isinstance(f, QuarticForm) for f in forms)
-        return original(forms, *args, **kwargs)
+    def recorded(form, *args, **kwargs):
+        calls.append((type(form), form.side, form.coeffs.shape))
+        return original(form, *args, **kwargs)
 
     monkeypatch.setattr(analyze, "root_structure", recorded)
     cfg = _shared_evaluation_configs(tmp_path)["walker"]
     cfg.points = 600
     run_analysis(cfg)
-    assert calls == [(list, {"SD"}, 200), (list, {"ASD"}, 200)] * 3
+    assert calls == [(QuarticForm, "SD", (200, 5)), (QuarticForm, "ASD", (200, 5))] * 3
+
+
+@pytest.mark.parametrize("case", ["walker", "conformal_walker", "general"])
+def test_one_weyl_quartic_call_per_chunk(case, monkeypatch, tmp_path):
+    """One weyl_quartic call gives both sides of a chunk; a conformal_walker
+    chunk makes a second one for its walker part.  P = 500 makes two chunks."""
+    import importlib
+
+    analyze = importlib.import_module("nullplane.lab.analyze")
+    original = analyze.weyl_quartic
+    shapes = []
+
+    def recorded(*args, **kwargs):
+        forms = original(*args, **kwargs)
+        shapes.append({side: form.coeffs.shape for side, form in forms.items()})
+        return forms
+
+    monkeypatch.setattr(analyze, "weyl_quartic", recorded)
+    cfg = _shared_evaluation_configs(tmp_path)[case]
+    cfg.points = 500
+    run_analysis(cfg)
+    per_chunk = 2 if case == "conformal_walker" else 1
+    assert shapes == [{"SD": (250, 5), "ASD": (250, 5)}] * (2 * per_chunk)
 
 
 def test_report_json_roundtrip():
@@ -638,6 +625,44 @@ def test_cli_rejects_bad_seed_or_degree(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--box", "0,inf", "not finite"),
+        ("--box", "-inf,1", "not finite"),
+        ("--box", "nan,1", "not finite"),
+        ("--box", "-1e308,1e308", "not finite"),
+        ("--exclude", "v=nan", "not finite"),
+        ("--exclude", "u=inf", "not finite"),
+        ("--box", "1,1", "is empty"),
+    ],
+)
+def test_cli_rejects_non_finite_box_or_exclusion(flag, value, message, capsys):
+    argv = ["family", "--name", "walker", "--a", "u", "--b", "v", "--c", "0", f"{flag}={value}", "--points", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "domain, message",
+    [
+        ("box = 0, inf", "not finite"),
+        ("box_v = -inf, 1", "not finite"),
+        ("box_u = nan, 1", "not finite"),
+        ("exclude = v=nan", "not finite"),
+        ("exclude = v=0; x=-inf", "not finite"),
+    ],
+)
+def test_spec_file_rejects_non_finite_domain(domain, message, tmp_path, capsys):
+    path = tmp_path / "domain.ini"
+    path.write_text(GOOD_SPEC.replace("box = 0.5, 1.5", domain))
+    with pytest.raises(ConfigError, match=message):
+        load_spec_file(str(path))
+    assert main(["analyze", "--spec", str(path), "--points", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["analyze"])  # missing --spec
@@ -663,5 +688,5 @@ def test_selftest_mutation_detection():
         inst.spec.a, inst.spec.b, add_(inst.spec.c, mul_(Num(0.01), parse_expr("u^3")))
     )
     pack = curvature(metric_jet(broken, pts, 3))
-    asd = weyl_quartic(pack, walker_tetrad(broken), "ASD")
-    assert any(root_structure(f).type_string != "O" for f in asd)
+    asd = weyl_quartic(pack, walker_tetrad(broken))["ASD"]
+    assert any(rl.type_string != "O" for rl in root_structure(asd))

@@ -8,7 +8,9 @@ import pytest
 
 from nullplane.errors import CalibrationFailure, DegenerateRoot, KindError
 from nullplane.exprkit import Num, eval_scalar, parse_expr, u, v, x, y
-from nullplane.frames import ProjParam, Tetrad, alpha_dist, walker_tetrad
+from nullplane.families import mk_cp_example
+from nullplane.frames import Frame, ProjParam, Tetrad, alpha_dist, walker_tetrad
+from nullplane.lab import load_spec_file
 from nullplane.tensor import MetricSpec, conformal_rescale, curvature, metric_jet, volume_and_duals, weyl_split
 from nullplane.weylalg import (
     _REF_FLOOR,
@@ -26,7 +28,7 @@ from nullplane.weylalg import (
     weyl_components,
     weyl_quartic,
 )
-from conftest import sample_box
+from conftest import GENERAL_SPEC, sample_box
 
 PTS = sample_box(300, 8)
 T10 = ProjParam.of(1, 0)
@@ -48,9 +50,8 @@ def test_flat_quartics_type_o():
     spec = MetricSpec.walker(0, 0, 0)
     pack = curvature(metric_jet(spec, PTS, 3))
     tet = walker_tetrad(spec)
-    for side in ("SD", "ASD"):
-        for f in weyl_quartic(pack, tet, side):
-            assert root_structure(f).type_string == "O"
+    for q in weyl_quartic(pack, tet).values():
+        assert all(rl.type_string == "O" for rl in root_structure(q))
 
 
 def test_quartic_value_matches_plane_pairing(walker_corpus):
@@ -66,8 +67,8 @@ def test_quartic_value_matches_plane_pairing(walker_corpus):
         o = np.einsum("ip,jp->pij", a_, b_)
         return o - o.transpose(0, 2, 1)
 
+    forms = weyl_quartic(pack, tet)
     for side in ("SD", "ASD"):
-        forms = weyl_quartic(pack, tet, side)
         for tau in (0.0, 0.7, -1.3):
             if side == "SD":
                 gen1 = vecs["l"] + tau * vecs["m"]
@@ -77,7 +78,7 @@ def test_quartic_value_matches_plane_pairing(walker_corpus):
                 gen2 = vecs["m"] + tau * vecs["n"]
             biv = wedge(gen1, gen2)
             direct = np.einsum("pabcd,pab,pcd->p", cvals, biv, biv)
-            from_coeffs = np.array([f.value(tau) for f in forms])
+            from_coeffs = np.polyval(forms[side].coeffs.T[::-1], tau)
             scale = max(np.max(np.abs(direct)), 1e-30)
             assert np.max(np.abs(direct - from_coeffs)) < 1e-9 * scale
 
@@ -95,10 +96,10 @@ def test_quartic_purity(walker_corpus):
             pack_part = copy.copy(pack)
             pack_part.weyl = np.moveaxis(part, 0, -1)[..., None, :]  # order-0 jets
             pack_part.order = 0
-            full = weyl_quartic(pack, walker_tetrad(spec), side)
-            from_part = weyl_quartic(pack_part, walker_tetrad(spec), side)
-            for f, g in zip(full, from_part):
-                assert np.max(np.abs(f.coeffs - g.coeffs)) < 1e-9 * max(f.scale, 1e-30)
+            full = weyl_quartic(pack, walker_tetrad(spec))[side]
+            from_part = weyl_quartic(pack_part, walker_tetrad(spec))[side]
+            defect = np.max(np.abs(full.coeffs - from_part.coeffs), axis=1)
+            assert np.all(defect < 1e-9 * np.maximum(full.scale, 1e-30))
 
 
 def test_asd_quartic_zero_iff_asd_weyl_zero(walker_corpus):
@@ -112,8 +113,7 @@ def test_asd_quartic_zero_iff_asd_weyl_zero(walker_corpus):
     dual = volume_and_duals(mj, walker_tetrad(inst.spec))
     _, cm = weyl_split(pack, dual)
     assert np.max(np.abs(cm)) < 1e-7 * np.max(np.abs(pack.weyl_val))
-    for f in weyl_quartic(pack, walker_tetrad(inst.spec), "ASD"):
-        assert root_structure(f).type_string == "O"
+    assert all(rl.type_string == "O" for rl in root_structure(weyl_quartic(pack, walker_tetrad(inst.spec))["ASD"]))
     # direction 2: a generic instance has nonzero ASD part and non-O quartic
     spec = specs[0]
     mj2 = metric_jet(spec, pts, 3)
@@ -121,7 +121,7 @@ def test_asd_quartic_zero_iff_asd_weyl_zero(walker_corpus):
     dual2 = volume_and_duals(mj2, walker_tetrad(spec))
     _, cm2 = weyl_split(pack2, dual2)
     assert np.max(np.abs(cm2)) > 1e-3 * np.max(np.abs(pack2.weyl_val))
-    assert any(root_structure(f).type_string != "O" for f in weyl_quartic(pack2, walker_tetrad(spec), "ASD"))
+    assert any(rl.type_string != "O" for rl in root_structure(weyl_quartic(pack2, walker_tetrad(spec))["ASD"]))
 
 
 def test_coefficient_vanishing_implications():
@@ -131,12 +131,62 @@ def test_coefficient_vanishing_implications():
     a_u = random_polys(51_000, 2, ("u", "x", "y"), 1)[0]
     b_any, c_any = random_polys(51_001, 2, ("u", "v", "x", "y"), 2)
     spec = MetricSpec.walker(a_u, b_any, c_any)
-    for f in weyl_quartic(curvature(metric_jet(spec, pts, 3)), walker_tetrad(spec), "ASD"):
-        assert abs(f.coeffs[4]) < 1e-9 * max(f.scale, 1e-30)
+    q = weyl_quartic(curvature(metric_jet(spec, pts, 3)), walker_tetrad(spec))["ASD"]
+    assert np.all(np.abs(q.coeffs[:, 4]) < 1e-9 * np.maximum(q.scale, 1e-30))
     c_u = random_polys(51_002, 2, ("u", "x", "y"), 1)[0]
     spec2 = MetricSpec.walker(a_u, b_any, c_u)
-    for f in weyl_quartic(curvature(metric_jet(spec2, pts, 3)), walker_tetrad(spec2), "ASD"):
-        assert max(abs(f.coeffs[3]), abs(f.coeffs[4])) < 1e-9 * max(f.scale, 1e-30)
+    q2 = weyl_quartic(curvature(metric_jet(spec2, pts, 3)), walker_tetrad(spec2))["ASD"]
+    assert np.all(np.max(np.abs(q2.coeffs[:, 3:]), axis=1) < 1e-9 * np.maximum(q2.scale, 1e-30))
+
+
+def _reference_ref_scale(pack, tet) -> np.ndarray:
+    """The largest Weyl pairing over both sides' bivector bases, one einsum
+    on values per pairing."""
+    bases = Frame.of(tet, pack.points, basis_order=pack.order).bases
+    ref = np.zeros(pack.points.shape[0])
+    for side in ("SD", "ASD"):
+        basis_vals = [b[..., 0, :] for b in bases[side]]
+        for i in range(3):
+            for j in range(i, 3):
+                g = np.einsum("pabcd,abp,cdp->p", pack.weyl_val, basis_vals[i], basis_vals[j])
+                ref = np.maximum(ref, np.abs(g))
+    return ref
+
+
+def test_ref_scale_is_the_largest_pairing_of_both_sides(walker_corpus, tmp_path):
+    """On the walker corpus, the cp pair g and h, and a general-kind spec
+    with its own tetrad."""
+    specs, pts = walker_corpus
+    cases = [(spec, walker_tetrad(spec)) for spec in specs]
+    g_inst, h_inst, _ = mk_cp_example(x * y)
+    cases += [(inst.spec, walker_tetrad(inst.spec)) for inst in (g_inst, h_inst)]
+    path = tmp_path / "general.ini"
+    path.write_text(GENERAL_SPEC)
+    general = load_spec_file(str(path))
+    cases.append((general.spec, general.tetrad))
+    for spec, tet in cases:
+        for order in (2, 3):
+            pack = curvature(metric_jet(spec, pts, order))
+            forms = weyl_quartic(pack, tet)
+            want = _reference_ref_scale(pack, tet)
+            assert np.max(want) > 0.0
+            for side in ("SD", "ASD"):
+                np.testing.assert_allclose(forms[side].ref_scale, want, rtol=1e-12, atol=0.0)
+
+
+def test_weyl_quartic_batch_and_single_point_shapes():
+    spec = _reference_spec()
+    tet = walker_tetrad(spec)
+    batch = weyl_quartic(curvature(metric_jet(spec, PTS, 3)), tet)
+    assert list(batch) == ["SD", "ASD"]
+    for side, q in batch.items():
+        assert q.side == side
+        assert q.coeffs.shape == (8, 5) and q.coeff_partials.shape == (8, 5, 4) and q.ref_scale.shape == (8,)
+        assert np.array_equal(q.scale, np.max(np.abs(q.coeffs), axis=1))
+        lone = weyl_quartic(curvature(metric_jet(spec, PTS[0], 3)), tet)[side]
+        assert lone.coeffs.shape == (5,) and lone.coeff_partials.shape == (5, 4) and np.ndim(lone.ref_scale) == 0
+        np.testing.assert_allclose(lone.coeffs, q.coeffs[0], rtol=1e-12, atol=1e-12 * float(q.scale[0]))
+    assert weyl_quartic(curvature(metric_jet(spec, PTS, 2)), tet)["ASD"].coeff_partials is None
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +194,13 @@ def test_coefficient_vanishing_implications():
 
 
 def _form(coeffs, ref=10.0):
-    c = np.asarray(coeffs, dtype=float)
-    return QuarticForm("ASD", c, None, float(np.max(np.abs(c))), ref)
+    return QuarticForm("ASD", np.asarray(coeffs, dtype=float), None, ref)
+
+
+def _batch(forms: list) -> QuarticForm:
+    """One batched form of single-point forms."""
+    coeffs = np.array([f.coeffs for f in forms]).reshape(-1, 5)
+    return QuarticForm("ASD", coeffs, None, np.array([f.ref_scale for f in forms]))
 
 
 def test_root_structure_constructed():
@@ -188,8 +243,8 @@ def test_reference_roots():
     spec = _reference_spec()
     pack = curvature(metric_jet(spec, PTS, 3))
     tet = walker_tetrad(spec)
-    for p, (fs, fa) in enumerate(zip(weyl_quartic(pack, tet, "SD"), weyl_quartic(pack, tet, "ASD"))):
-        rs, ra = root_structure(fs), root_structure(fa)
+    roots_sd, roots_asd = (root_structure(q) for q in weyl_quartic(pack, tet).values())
+    for p, (rs, ra) in enumerate(zip(roots_sd, roots_asd)):
         assert rs.type_string == "{4}"
         assert abs(rs.entries[0].value) < 1e-3
         assert ra.type_string == "{4}"
@@ -207,8 +262,9 @@ def test_root_invariance_under_rescaling():
     tet_r = Tetrad(**{k: tuple(div_(c, chi) for c in vec) for k, vec in tet.vectors().items()})
     pack = curvature(metric_jet(spec, PTS, 3))
     pack_r = curvature(metric_jet(rescaled, PTS, 3))
-    for f, fr in zip(weyl_quartic(pack, tet, "ASD"), weyl_quartic(pack_r, tet_r, "ASD")):
-        r1, r2 = root_structure(f), root_structure(fr)
+    roots = root_structure(weyl_quartic(pack, tet)["ASD"])
+    roots_r = root_structure(weyl_quartic(pack_r, tet_r)["ASD"])
+    for r1, r2 in zip(roots, roots_r):
         assert r1.type_string == r2.type_string
         assert r1.entries[0].value.real == pytest.approx(r2.entries[0].value.real, rel=1e-6)
 
@@ -325,19 +381,19 @@ def _seeded_quartics(seed: int, count: int) -> list:
         else:  # below the zero-form threshold of a larger curvature reference
             c = 1e-10 * rng.uniform(-1, 1, 5)
         c = np.asarray(c, dtype=float)
-        forms.append(QuarticForm("ASD", c, None, float(np.max(np.abs(c))), float(rng.uniform(0.5, 20.0))))
+        forms.append(QuarticForm("ASD", c, None, float(rng.uniform(0.5, 20.0))))
     return forms
 
 
 def test_root_structure_batch_matches_per_point_reference():
     forms = _seeded_quartics(7, 6000)
-    got = root_structure(forms)
+    got = root_structure(_batch(forms))
     want = [_reference_root_structure(f) for f in forms]
     assert len(got) == len(want)
     mismatches = [i for i, (a, b) in enumerate(zip(got, want)) if a != b or repr(a) != repr(b)]
     assert mismatches == []
     assert {rl.type_string for rl in want} == {"O", "{1111}", "{211}", "{22}", "{31}", "{4}"}
-    assert root_structure([]) == []
+    assert root_structure(_batch([])) == []
 
 
 def test_root_structure_float_division_branch():
@@ -349,12 +405,12 @@ def test_root_structure_float_division_branch():
     want = _reference_root_structure(f)
     assert want.type_string == "{31}"
     assert root_structure(f) == want
-    assert root_structure([f]) == [want]
+    assert root_structure(_batch([f])) == [want]
 
 
 def test_root_structure_single_form_is_one_element_batch():
     for f in _seeded_quartics(8, 40):
-        assert root_structure([f]) == [root_structure(f)]
+        assert root_structure(_batch([f])) == [root_structure(f)]
 
 
 def _homogeneous_mul(p: list, q: list) -> list:
@@ -413,7 +469,7 @@ def test_root_structure_agrees_with_invariant_classifier():
             poly = [int(coef) for coef in _homogeneous_mul(poly, factor)]
         cases.append(poly + [0] * (5 - len(poly)))
     forms = [_form(c, ref=float(max(abs(coef) for coef in c))) for c in cases]
-    got = [rl.type_string for rl in root_structure(forms)]
+    got = [rl.type_string for rl in root_structure(_batch(forms))]
     want = [_invariant_type(c) for c in cases]
     assert [i for i in range(len(cases)) if got[i] != want[i]] == []
     assert set(want) == {"{1111}", "{211}", "{22}", "{31}", "{4}"}
@@ -450,14 +506,24 @@ def test_weyl_components_reconstruction():
     spec = MetricSpec.walker(u**2, v**2, u)
     pack = curvature(metric_jet(spec, PTS[:1], 2))
     kappa = default_kappa()
-    f = weyl_quartic(pack, walker_tetrad(spec), "ASD")[0]
-    psi = weyl_components(f, kappa).psi
+    f = weyl_quartic(pack, walker_tetrad(spec))["ASD"]
+    psi = weyl_components(f, kappa).psi[0]
     from math import comb
 
     rebuilt = np.array([psi[k] * comb(4, k) * kappa.value for k in range(5)])
-    assert np.allclose(rebuilt, f.coeffs, rtol=1e-12)
+    assert np.allclose(rebuilt, f.coeffs[0], rtol=1e-12)
     # middle component equals S/12 on this two-sided instance
     assert psi[2] == pytest.approx(pack.scalar_val[0] / 12.0, rel=1e-9)
+
+
+def test_weyl_components_of_a_batch_are_per_point():
+    spec = MetricSpec.walker(u**2, v**2, u)
+    kappa = default_kappa()
+    q = weyl_quartic(curvature(metric_jet(spec, PTS, 2)), walker_tetrad(spec))["SD"]
+    psi = weyl_components(q, kappa).psi
+    assert psi.shape == (8, 5)
+    for p in range(8):
+        assert np.array_equal(psi[p], weyl_components(_form(q.coeffs[p]), kappa).psi)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +576,7 @@ def test_implicit_root_jet_reference():
     spec = _reference_spec()
     p0 = np.array([1.0, 2.0, 0.8, 1.2])
     pack = curvature(metric_jet(spec, p0, 3))
-    q = weyl_quartic(pack, walker_tetrad(spec), "ASD")
+    q = weyl_quartic(pack, walker_tetrad(spec))["ASD"]
     grad = implicit_root_jet(q, 2.0)  # root field v/u
     assert grad[0] == pytest.approx(-2.0, rel=1e-6)
     assert grad[1] == pytest.approx(1.0, rel=1e-6)
@@ -521,24 +587,24 @@ def test_implicit_root_jet_sd_root_stationary():
     spec = _reference_spec()
     p0 = np.array([1.0, 2.0, 0.8, 1.2])
     pack = curvature(metric_jet(spec, p0, 3))
-    q = weyl_quartic(pack, walker_tetrad(spec), "SD")
+    q = weyl_quartic(pack, walker_tetrad(spec))["SD"]
     grad = implicit_root_jet(q, 0.0)
     assert np.max(np.abs(grad)) < 1e-8
 
 
 def test_implicit_root_jet_constant_coefficients():
-    q = QuarticForm("ASD", np.array([0.0, 0.0, 1.0, -2.0, 1.0]), np.zeros((5, 4)), 2.0, 10.0)
+    q = QuarticForm("ASD", np.array([0.0, 0.0, 1.0, -2.0, 1.0]), np.zeros((5, 4)), 10.0)
     grad = implicit_root_jet(q, 0.0)  # double root at 0 of t^2 (t-1)^2
     assert np.max(np.abs(grad)) == 0.0
 
 
 def test_implicit_root_jet_errors():
-    q = QuarticForm("ASD", np.array([6.0, -5.0, 1.0, 0.0, 0.0]), np.zeros((5, 4)), 6.0, 10.0)
+    q = QuarticForm("ASD", np.array([6.0, -5.0, 1.0, 0.0, 0.0]), np.zeros((5, 4)), 10.0)
     with pytest.raises(DegenerateRoot):
         implicit_root_jet(q, 1.0)  # not a root of (t-2)(t-3)
-    q2 = QuarticForm("ASD", np.array([0.0] * 5), np.zeros((5, 4)), 0.0, 10.0)
+    q2 = QuarticForm("ASD", np.array([0.0] * 5), np.zeros((5, 4)), 10.0)
     with pytest.raises(DegenerateRoot):
         implicit_root_jet(q2, 0.0)
-    q3 = QuarticForm("ASD", np.array([1.0, 0, 0, 0, 0]), None, 1.0, 10.0)
+    q3 = QuarticForm("ASD", np.array([1.0, 0, 0, 0, 0]), None, 10.0)
     with pytest.raises(ValueError):
         implicit_root_jet(q3, 0.0)
