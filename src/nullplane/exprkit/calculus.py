@@ -239,9 +239,12 @@ def poly_of(e: Expr) -> _Poly:
     raise TypeError(f"cannot normalize {type(e).__name__}")
 
 
-def is_zero_expr(e: Expr, tol: float = 1e-10) -> bool:
+_ZERO_COEFF = 1e-10  # absolute coefficient tolerance of is_zero_expr
+
+
+def is_zero_expr(e: Expr) -> bool:
     """Structural zero test after expansion (absolute coefficient tolerance)."""
-    return all(abs(c) <= tol for c in poly_of(e).values())
+    return all(abs(c) <= _ZERO_COEFF for c in poly_of(e).values())
 
 
 def depends_on(e: Expr, var: str) -> bool:

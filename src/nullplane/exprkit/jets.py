@@ -8,7 +8,8 @@ differentiated at a whole sample batch in single vectorized operations.
 
 The low-level ``*_coeffs`` functions operate on arrays with arbitrary
 leading axes ``(..., M, P)``; the tensor engine stacks whole 4x4x..
-tensors of jets this way.  The ``Jet`` class is the scalar-facing wrapper.
+tensors of jets this way.  ``eval_jet`` returns a ``Jet``, which reads
+values and partials out of one coefficient array.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ def truncate_coeffs(a: np.ndarray, order_in: int, order_out: int) -> np.ndarray:
     return a[..., : n_coeffs(order_out), :]
 
 
-def const_coeffs(value, order: int, npoints: int, lead_shape=()) -> np.ndarray:
-    out = np.zeros(lead_shape + (n_coeffs(order), npoints))
-    out[..., 0, :] = value
+def const_coeffs(value, order: int, npoints: int) -> np.ndarray:
+    out = np.zeros((n_coeffs(order), npoints))
+    out[0] = value
     return out
 
 
@@ -169,16 +170,6 @@ def pow_coeffs(f: np.ndarray, n: int, order: int) -> np.ndarray:
     return out
 
 
-def sqrt_coeffs(f: np.ndarray, order: int) -> np.ndarray:
-    f0 = f[..., 0, :]
-    if np.any(f0 <= 0.0):
-        raise DomainError("square root of non-positive value")
-    taylor = [np.sqrt(f0)]
-    for k in range(1, order + 1):
-        taylor.append(taylor[-1] * (0.5 - (k - 1)) / (k * f0))
-    return compose_coeffs(f, np.stack(taylor), order)
-
-
 _FUNC_TAYLOR = {
     "exp": lambda f0, K: np.stack([np.exp(f0) / math.factorial(k) for k in range(K + 1)]),
     "sin": lambda f0, K: np.stack(
@@ -228,7 +219,7 @@ def check_finite_points(pts: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the scalar-facing Jet
+# the read-side Jet
 
 
 def _normalize_multi_index(multi_index) -> tuple:
@@ -246,85 +237,14 @@ def _normalize_multi_index(multi_index) -> tuple:
 
 
 class Jet:
-    """Raw partial derivatives of a scalar at one point (or a point batch)."""
+    """Raw partial derivatives of a scalar at one point (or a point batch),
+    as returned by ``eval_jet``."""
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: np.ndarray):
         self.order = order
         self.coeffs = coeffs
-
-    @classmethod
-    def constant(cls, value: float, order: int, npoints: int = 1) -> "Jet":
-        return cls(order, const_coeffs(value, order, npoints))
-
-    @classmethod
-    def coordinate(cls, var: str, values, order: int) -> "Jet":
-        vals = np.atleast_1d(np.asarray(values, dtype=float))
-        return cls(order, coord_coeffs(COORDS.index(var), vals, order))
-
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return other
-        return Jet.constant(float(other), self.order, self.coeffs.shape[-1])
-
-    def _pair(self, other):
-        other = self._coerce(other)
-        order = min(self.order, other.order)
-        return (
-            truncate_coeffs(self.coeffs, self.order, order),
-            truncate_coeffs(other.coeffs, other.order, order),
-            order,
-        )
-
-    def __add__(self, other):
-        a, b, order = self._pair(other)
-        return Jet(order, a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b, order = self._pair(other)
-        return Jet(order, a - b)
-
-    def __rsub__(self, other):
-        a, b, order = self._pair(other)
-        return Jet(order, b - a)
-
-    def __mul__(self, other):
-        a, b, order = self._pair(other)
-        return Jet(order, mul_coeffs(a, b, order, order, order))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b, order = self._pair(other)
-        return Jet(order, div_coeffs(a, b, order, order, order))
-
-    def __rtruediv__(self, other):
-        a, b, order = self._pair(other)
-        return Jet(order, div_coeffs(b, a, order, order, order))
-
-    def __neg__(self):
-        return Jet(self.order, -self.coeffs)
-
-    def __pow__(self, n: int):
-        return Jet(self.order, pow_coeffs(self.coeffs, int(n), self.order))
-
-    def apply(self, func: str) -> "Jet":
-        return Jet(self.order, func_coeffs(func, self.coeffs, self.order))
-
-    def sqrt(self) -> "Jet":
-        return Jet(self.order, sqrt_coeffs(self.coeffs, self.order))
-
-    def derivative(self, var: str) -> "Jet":
-        if self.order < 1:
-            raise ValueError("cannot differentiate an order-0 jet")
-        g = _deriv_table(self.order)[COORDS.index(var)]
-        return Jet(self.order - 1, self.coeffs[..., g, :])
-
-    def truncate(self, order: int) -> "Jet":
-        return Jet(min(order, self.order), truncate_coeffs(self.coeffs, self.order, order))
 
     def _squeeze(self, arr):
         return float(arr[..., 0]) if arr.shape[-1] == 1 and arr.ndim == 1 else arr
@@ -338,9 +258,6 @@ class Jet:
         if sum(idx) > self.order:
             raise ValueError(f"multi-index order {sum(idx)} exceeds jet order {self.order}")
         return self._squeeze(self.coeffs[mono_index(self.order)[idx]])
-
-    def as_dict(self) -> dict:
-        return {m: self._squeeze(self.coeffs[i]) for i, m in enumerate(monomials(self.order))}
 
     def __repr__(self):
         return f"Jet(order={self.order}, value={self.value})"

@@ -292,7 +292,7 @@ def mk_cp_example(F=0):
     return g_inst, h_inst, t_field
 
 
-def conformal_two_sided_factor(inst: FamilyInstance, check_points=None) -> Expr:
+def conformal_two_sided_factor(inst: FamilyInstance) -> Expr:
     """Conformal factor chi(x, y) such that chi^2 g has both null-plane
     distributions of the (0:1) parameter parallel.
 
@@ -316,8 +316,7 @@ def conformal_two_sided_factor(inst: FamilyInstance, check_points=None) -> Expr:
     f = mul_(Num(-0.5), antideriv_poly(phi, "x"))
     chi = Call("exp", neg_(f))
 
-    if check_points is None:
-        check_points = np.random.default_rng(2718281).uniform(0.5, 1.5, (5, 4))
+    check_points = np.random.default_rng(2718281).uniform(0.5, 1.5, (5, 4))
     from .frames import parallel_residual
 
     tet = walker_tetrad(spec)

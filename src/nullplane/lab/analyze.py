@@ -34,7 +34,7 @@ from ..weylalg import (
     _ricci_null_of,
     _rps_of,
 )
-from .config import AnalysisConfig, sample_points
+from .config import TOL_ZERO, AnalysisConfig, sample_points
 from .report import Report, _roots_to_dict
 
 
@@ -108,10 +108,10 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
     if tet is not None:
         # the one evaluation of the tetrad and the t-field in this chunk
         frame = _attribute_point(lambda p: Frame.of(tet, p, cfg.t_field), pts)
-        # each point's tolerance is at least 1e-7, so a smaller maximum passes all
-        if tetrad_max_defect(mj, frame) > 1e-7:
+        # each point's tolerance is at least TOL_ZERO, so a smaller maximum passes all
+        if tetrad_max_defect(mj, frame) > TOL_ZERO:
             defects = _tetrad_defects(mj, frame)
-            tol = 1e-7 * np.maximum(np.max(np.abs(mj.g_val), axis=(1, 2)), 1.0)
+            tol = TOL_ZERO * np.maximum(np.max(np.abs(mj.g_val), axis=(1, 2)), 1.0)
             worst = np.argmax(np.where(defects > tol, defects, -1.0))
             if defects[worst] > tol[worst]:
                 raise NullplaneError(
@@ -189,12 +189,11 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     chunks = [_chunk_arrays(cfg, np.repeat(part, 2, axis=0) if len(part) == 1 else part, kappa) for part in parts]
     data = {key: _concat([chunk[key][: len(part)] for part, chunk in zip(parts, chunks)]) for key in chunks[0]}
 
-    tol0 = cfg.tol_zero
     has_frames = "SD_roots" in data
 
     def below_tol(key) -> bool | None:
-        """Whether the column's maximum is below tol_zero; None if the run has no such column."""
-        return bool(np.max(data[key]) < tol0) if key in data else None
+        """Whether the column's maximum is below TOL_ZERO; None if the run has no such column."""
+        return bool(np.max(data[key]) < TOL_ZERO) if key in data else None
 
     # a flag of a run without frames is None, and `None and x` is None
     z_parallel = below_tol(("Z", "parallel"))
@@ -202,11 +201,11 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     w_parallel = below_tol(("W", "parallel"))
     h_integrable = below_tol(("H", "frobenius"))
     sd_flag = all(rl.type_string == "O" for rl in data["ASD_roots"]) if has_frames else None
-    ricci_small = bool(np.max(data["ricci_scale"] / np.maximum(data["riemann_scale"], 1e-30)) < tol0)
+    ricci_small = bool(np.max(data["ricci_scale"] / np.maximum(data["riemann_scale"], 1e-30)) < TOL_ZERO)
     obstruction_zero = None
     if walker_kind:
         obs = np.abs(data["obstruction_adapted"]) / np.maximum(data["obstruction_scale"], 1e-30)
-        obstruction_zero = bool(np.max(obs) < tol0)
+        obstruction_zero = bool(np.max(obs) < TOL_ZERO)
     flags = {
         "walker_form": z_parallel,
         "Z_parallel": z_parallel,

@@ -18,7 +18,8 @@ Spec files are flat INI text (see README for the full schema):
     exclude = v=0            ; semicolon-separated var=value loci
 
 General metrics list ten components g_uu .. g_yy and may supply a tetrad
-([tetrad] section, keys l0..l3, n0..n3, m0..m3, mt0..mt3).
+([tetrad] section, keys l0..l3, n0..n3, m0..m3, mt0..mt3).  Any other
+section or key, a [tetrad] on a walker kind included, is a ConfigError.
 """
 
 from __future__ import annotations
@@ -36,7 +37,23 @@ from ..exprkit.parser import parse_expr
 from ..frames import ProjParam, Tetrad
 from ..tensor.metric import CONFORMAL_WALKER, GENERAL, WALKER, MetricSpec
 
-_GENERAL_KEYS = [f"g_{COORDS[i]}{COORDS[j]}" for i in range(4) for j in range(i, 4)]
+# The documented thresholds: "zero" is below TOL_ZERO relative to the natural
+# scale of the compared quantity, "nonzero" is above TOL_NONZERO.
+TOL_ZERO = 1e-7
+TOL_NONZERO = 1e-3
+
+# the [metric] components each kind reads, besides kind itself
+_METRIC_KEYS = {
+    WALKER: ("a", "b", "c"),
+    CONFORMAL_WALKER: ("a", "b", "c", "chi"),
+    GENERAL: tuple(f"g_{COORDS[i]}{COORDS[j]}" for i in range(4) for j in range(i, 4)),
+}
+# the keys of the other sections; [tetrad] is read for the general kind only
+_SECTION_KEYS = {
+    "lambda": ("t0", "t1"),
+    "domain": ("box", *(f"box_{name}" for name in COORDS), "exclude"),
+    "tetrad": tuple(f"{name}{i}" for name in ("l", "n", "m", "mt") for i in range(4)),
+}
 
 
 @dataclass
@@ -46,8 +63,6 @@ class AnalysisConfig:
     box: tuple = ((0.5, 1.5),) * 4
     points: int = 20
     seed: int = 0
-    tol_zero: float = 1e-7
-    tol_nonzero: float = 1e-3
     exclude: tuple = ()  # (coordinate_name, value) pairs
     tetrad: Optional[Tetrad] = None
     source: str = "api"
@@ -72,7 +87,7 @@ class AnalysisConfig:
             "points": self.points,
             "seed": self.seed,
             "order": 3,  # report-format field, kept so reports stay byte-identical
-            "tolerances": {"zero": self.tol_zero, "nonzero": self.tol_nonzero},
+            "tolerances": {"zero": TOL_ZERO, "nonzero": TOL_NONZERO},
             "exclude": [f"{name}={value}" for name, value in self.exclude],
         }
 
@@ -120,30 +135,23 @@ def load_spec_file(path: str) -> AnalysisConfig:
         raise ConfigError("spec file needs a [metric] section")
     metric = parser["metric"]
     kind = metric.get("kind", "").strip()
-    if kind == WALKER or kind == CONFORMAL_WALKER:
-        missing = [k for k in ("a", "b", "c") if k not in metric]
-        if missing:
-            raise ConfigError(f"walker metric needs components {missing}")
-        a = _parse(metric["a"], "a")
-        b = _parse(metric["b"], "b")
-        c = _parse(metric["c"], "c")
-        if kind == WALKER:
-            spec = MetricSpec.walker(a, b, c)
-        else:
-            if "chi" not in metric:
-                raise ConfigError("conformal_walker metric needs chi")
-            spec = MetricSpec.conformal_walker(_parse(metric["chi"], "chi"), a, b, c)
-    elif kind == GENERAL:
+    if kind not in _METRIC_KEYS:
+        raise ConfigError(f"metric kind must be walker, conformal_walker, or general (got {kind!r})")
+    _check_keys(parser, kind)
+    missing = [key for key in _METRIC_KEYS[kind] if key not in metric]
+    if missing:
+        raise ConfigError(f"{kind} metric needs components {missing}")
+    comps = {key: _parse(metric[key], key) for key in _METRIC_KEYS[kind]}
+    if kind == WALKER:
+        spec = MetricSpec.walker(comps["a"], comps["b"], comps["c"])
+    elif kind == CONFORMAL_WALKER:
+        spec = MetricSpec.conformal_walker(comps["chi"], comps["a"], comps["b"], comps["c"])
+    else:
         rows = [[None] * 4 for _ in range(4)]
         for i in range(4):
             for j in range(i, 4):
-                key = f"g_{COORDS[i]}{COORDS[j]}"
-                if key not in metric:
-                    raise ConfigError(f"general metric needs component {key}")
-                rows[i][j] = rows[j][i] = _parse(metric[key], key)
+                rows[i][j] = rows[j][i] = comps[f"g_{COORDS[i]}{COORDS[j]}"]
         spec = MetricSpec.general(rows)
-    else:
-        raise ConfigError(f"metric kind must be walker, conformal_walker, or general (got {kind!r})")
 
     t_field = ProjParam.of(0, 1)
     if "lambda" in parser:
@@ -169,18 +177,28 @@ def load_spec_file(path: str) -> AnalysisConfig:
     tetrad = None
     if "tetrad" in parser:
         sect = parser["tetrad"]
-        vecs = {}
-        for name in ("l", "n", "m", "mt"):
-            comps = []
-            for i in range(4):
-                key = f"{name}{i}"
-                if key not in sect:
-                    raise ConfigError(f"tetrad section needs component {key}")
-                comps.append(_parse(sect[key], key))
-            vecs[name] = tuple(comps)
-        tetrad = Tetrad(**vecs)
+        keys = _SECTION_KEYS["tetrad"]
+        missing = [key for key in keys if key not in sect]
+        if missing:
+            raise ConfigError(f"tetrad section needs component {missing[0]}")
+        parts = [_parse(sect[key], key) for key in keys]
+        tetrad = Tetrad(*(tuple(parts[i : i + 4]) for i in range(0, 16, 4)))  # l, n, m, mt
 
     return AnalysisConfig(spec=spec, t_field=t_field, box=tuple(box), exclude=exclude, tetrad=tetrad, source=path)
+
+
+def _check_keys(parser: configparser.ConfigParser, kind: str) -> None:
+    """Reject every section and key the loader would not read, so a typo
+    cannot silently analyse another metric than the one written."""
+    allowed = {parser.default_section: (), "metric": ("kind", *_METRIC_KEYS[kind]), **_SECTION_KEYS}
+    if kind != GENERAL and "tetrad" in parser:
+        raise ConfigError(f"section [tetrad] is for the general kind only; a {kind} metric uses the walker tetrad")
+    for section in parser:
+        if section not in allowed:
+            raise ConfigError(f"unknown spec-file section [{section}]")
+        for key in parser[section]:  # the default section's keys come first
+            if key not in allowed[section]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}] of a {kind} spec file")
 
 
 def _parse_interval(text: str):

@@ -12,6 +12,11 @@ from .. import __version__
 from ..weylalg import RootList
 
 
+def dumps_json(obj) -> str:
+    """The one JSON layout of every report and listing nullplane prints."""
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
 def _roots_to_dict(rl: RootList) -> dict:
     entries = []
     for e in rl.entries:
@@ -49,7 +54,7 @@ class Report:
         return out
 
     def to_json(self, with_timestamp: bool = True) -> str:
-        return json.dumps(self.to_dict(with_timestamp), sort_keys=True, indent=2)
+        return dumps_json(self.to_dict(with_timestamp))
 
     def to_text(self) -> str:
         lines = [f"nullplane {__version__} analysis of {self.config.get('source', '?')}"]

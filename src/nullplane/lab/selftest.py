@@ -10,7 +10,6 @@ natural scale of the compared quantity, "nonzero" means > 1e-3.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,11 +55,11 @@ from ..weylalg import (
     rps_discriminant,
     weyl_quartic,
 )
+from .config import TOL_NONZERO, TOL_ZERO, AnalysisConfig
+from .report import dumps_json
 
 _U, _V, _X, _Y = Var("u"), Var("v"), Var("x"), Var("y")
 
-TOL_ZERO = 1e-7
-TOL_NONZERO = 1e-3
 N_POINTS = 20
 N_INSTANCES = 5
 
@@ -395,7 +394,6 @@ def criterion_09() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     from .analyze import run_analysis
-    from .config import AnalysisConfig
 
     g_inst, h_inst, t_field = mk_cp_example(mul_(_X, _Y))
     pts = _points(10_100)
@@ -625,16 +623,8 @@ def selftest(output_format: str = "text") -> int:
     any criterion fails."""
     results = run_all()
     if output_format == "json":
-        print(
-            json.dumps(
-                [
-                    {"id": r.cid, "description": r.description, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        rows = [{"id": r.cid, "description": r.description, "passed": r.passed, "detail": r.detail} for r in results]
+        print(dumps_json(rows))
     else:
         for r in results:
             print(r.line())

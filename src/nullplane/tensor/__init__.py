@@ -5,7 +5,6 @@ from .curvature import (
     box_scalar,
     christoffel,
     covariant_derivative,
-    covariant_derivative_values,
     curvature,
     walker_box_closed_form,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "christoffel",
     "conformal_rescale",
     "covariant_derivative",
-    "covariant_derivative_values",
     "curvature",
     "metric_jet",
     "volume_and_duals",

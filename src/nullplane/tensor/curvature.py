@@ -42,7 +42,6 @@ class CurvaturePack:
     gamma: np.ndarray  # (4,4,4,Mg,P) jets, order mj.order-1
     gamma_order: int
     riemann: Optional[np.ndarray] = None  # all indices down, (4,4,4,4,Mr,P)
-    riemann_up: Optional[np.ndarray] = None
     ricci: Optional[np.ndarray] = None
     scalar: Optional[np.ndarray] = None  # (Mr,P)
     efield: Optional[np.ndarray] = None  # trace-free Ricci
@@ -137,7 +136,6 @@ def curvature(mj: MetricJet) -> CurvaturePack:
     gg = q1 - q1.transpose(0, 1, 3, 2, 4, 5)
     weyl = riem - 0.5 * kn + mul_coeffs(scalar[None, None, None, None] / 6.0, gg, orc, orc, orc)
 
-    pack.riemann_up = r_up
     pack.riemann = riem
     pack.ricci = ricci
     pack.scalar = scalar
@@ -157,12 +155,7 @@ def covariant_derivative(spec: MetricSpec, field, direction, p) -> np.ndarray:
     ``field`` is four Exprs; ``direction`` is four Exprs or a numeric
     4-vector (constant direction).  Returns shape (4,) or (4, P).
     """
-    mj = metric_jet(spec, p, order=2)
-    pack = christoffel(mj)
-    return covariant_derivative_values(pack, field, direction)
-
-
-def covariant_derivative_values(pack: CurvaturePack, field, direction) -> np.ndarray:
+    pack = christoffel(metric_jet(spec, p, order=2))
     pts = pack.points
     npts = pts.shape[0]
     yj = np.stack([_eval_coeffs(as_expr(comp), pts, 1) for comp in field])  # (4, M1, P)

@@ -150,15 +150,6 @@ class MetricJet:
     def g_inv_val(self) -> np.ndarray:
         return np.moveaxis(self.g_inv[:, :, 0, :], -1, 0)
 
-    def partial(self, multi_index) -> np.ndarray:
-        from ..exprkit.jets import _normalize_multi_index, mono_index
-
-        idx = _normalize_multi_index(multi_index)
-        if sum(idx) > self.order:
-            raise ValueError(f"multi-index order {sum(idx)} exceeds jet order {self.order}")
-        k = mono_index(self.order)[idx]
-        return np.moveaxis(self.g[:, :, k, :], -1, 0)
-
 
 def metric_jet(spec: MetricSpec, p, order: int = 3) -> MetricJet:
     """Evaluate the metric, its inverse, and partials at the point(s)."""

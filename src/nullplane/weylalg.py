@@ -37,6 +37,7 @@ from .tensor.curvature import CurvaturePack, curvature
 from .tensor.metric import WALKER, MetricSpec, metric_jet
 
 _REF_FLOOR = 1e-4  # absolute curvature-reference floor for zero-form detection
+_ROOT_TOL = 1e-8  # relative zero and cluster tolerance of root_structure
 
 
 @dataclass
@@ -197,20 +198,20 @@ def _classify(clusters: list, m_inf: int) -> RootList:
     return RootList(entries=tuple(entries), type_string=type_string)
 
 
-def root_structure(q: QuarticForm, tol: float = 1e-8):
+def root_structure(q: QuarticForm):
     """Roots with multiplicities of a QuarticForm: a RootList for a
     single-point form, else a list of them, classified in one batch.
 
     Near-zero leading coefficients deflate to roots at infinity.  The finite
     roots are np.roots' eigenvalues; a greedy search then takes the first
     cluster of the remaining roots, largest first, whose members lie within
-    tol^(1/multiplicity) (relative beyond 1) of their mean.
+    _ROOT_TOL^(1/multiplicity) (relative beyond 1) of their mean.
     """
     c = np.reshape(np.asarray(q.coeffs, dtype=float), (-1, 5))
     k = c.shape[0]
     scale = np.max(np.abs(c), axis=1)
-    zero = scale <= tol * np.maximum(q.ref_scale, _REF_FLOOR)
-    small = np.abs(c[:, ::-1]) < tol * scale[:, None]
+    zero = scale <= _ROOT_TOL * np.maximum(q.ref_scale, _REF_FLOOR)
+    small = np.abs(c[:, ::-1]) < _ROOT_TOL * scale[:, None]
     m_inf = np.cumprod(small, axis=1).sum(axis=1)
     lead = 4 - m_inf  # the number of finite roots, if positive
     rows = np.flatnonzero(~zero)
@@ -225,7 +226,7 @@ def root_structure(q: QuarticForm, tol: float = 1e-8):
             total = total + roots[:, i]
         # a point whose roots np.roots returns as floats divides as floats
         center = np.where(real, total.real / m, total / m)
-        r = tol ** (1.0 / m) * np.maximum(1.0, np.abs(center))
+        r = _ROOT_TOL ** (1.0 / m) * np.maximum(1.0, np.abs(center))
         fits = np.all([np.abs(roots[:, i] - center) <= r for i in combo], axis=0)
         take = fits & remaining[:, list(combo)].all(axis=1)
         remaining[np.ix_(take, combo)] = False
@@ -310,17 +311,16 @@ def default_kappa() -> CalibrationConstant:
     return _DEFAULT_KAPPA
 
 
-def obstruction_residual(spec: MetricSpec, p, kappa: Optional[CalibrationConstant] = None):
+def obstruction_residual(spec: MetricSpec, p):
     """psi_2 - S/12 from the anti-self-dual quartic of a walker metric; the
-    quantity whose vanishing characterizes conformally two-sided form."""
+    quantity whose vanishing characterizes conformally two-sided form, with
+    the package-wide calibration constant."""
     if spec.kind != WALKER:
         raise KindError("the obstruction is evaluated in the walker gauge")
-    if kappa is None:
-        kappa = default_kappa()
     pts, single = as_points(p)
     pack = curvature(metric_jet(spec, pts, order=2))
     c2 = weyl_quartic(pack, walker_tetrad(spec))["ASD"].coeffs[..., 2]
-    out = c2 / (6.0 * kappa.value) - pack.scalar_val / 12.0
+    out = c2 / (6.0 * default_kappa().value) - pack.scalar_val / 12.0
     return float(out[0]) if single else out
 
 
@@ -388,7 +388,10 @@ def _falling(k: int, j: int) -> float:
     return out
 
 
-def implicit_root_jet(q: QuarticForm, t_root: float, vanish_tol: float = 1e-6) -> np.ndarray:
+_VANISH_TOL = 1e-6  # relative size below which a t-derivative of the quartic vanishes
+
+
+def implicit_root_jet(q: QuarticForm, t_root: float) -> np.ndarray:
     """First coordinate partials of an isolated root field of a single-point
     quartic form.
 
@@ -405,8 +408,8 @@ def implicit_root_jet(q: QuarticForm, t_root: float, vanish_tol: float = 1e-6) -
         val = sum(c[k] * _falling(k, j) * t_root ** (k - j) for k in range(j, 5))
         bound = sum(abs(c[k]) * _falling(k, j) * tmax ** (k - j) for k in range(j, 5))
         bound = max(bound, q.scale, 1e-30)
-        if abs(val) > vanish_tol * bound:
-            if abs(val) < 1e3 * vanish_tol * bound:
+        if abs(val) > _VANISH_TOL * bound:
+            if abs(val) < 1e3 * _VANISH_TOL * bound:
                 raise DegenerateRoot("root multiplicity is numerically marginal")
             mult = j
             break

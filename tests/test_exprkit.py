@@ -188,16 +188,6 @@ def test_mul_coeffs_single_point_matches_batch():
         np.testing.assert_array_equal(mul_coeffs(a[:, i : i + 1], b[:, i : i + 1], 3, 3, 3), batch[:, i : i + 1])
 
 
-def test_jet_arithmetic_matches_composite_expression():
-    rng = np.random.default_rng(8)
-    pts = rng.uniform(0.5, 1.5, (5, 4))
-    f = parse_expr("u^2 + sin(v)")
-    g = parse_expr("exp(x) + 2")
-    jf, jg = eval_jet(f, pts, 3), eval_jet(g, pts, 3)
-    combined = eval_jet(BinOp("/", f, g), pts, 3)
-    assert np.allclose((jf / jg).coeffs, combined.coeffs, rtol=1e-13)
-
-
 # ---------------------------------------------------------------------------
 # symbolic differentiation
 

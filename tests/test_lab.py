@@ -663,6 +663,35 @@ def test_spec_file_rejects_non_finite_domain(domain, message, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_WALKER_TETRAD = GENERAL_SPEC[GENERAL_SPEC.index("[tetrad]") :]
+
+
+@pytest.mark.parametrize(
+    "text, section, key",
+    [
+        (GOOD_SPEC + "exlude = v=1\n", "domain", "exlude"),
+        (GOOD_SPEC + "box_z = 0, 1\n", "domain", "box_z"),
+        (GOOD_SPEC.replace("[lambda]", "[lamda]"), "lamda", None),
+        (GOOD_SPEC.replace("c = u\n", "c = u\nchi = 1/v\n"), "metric", "chi"),
+        (GOOD_SPEC.replace("c = u\n", "c = u\ng_uu = 7\n"), "metric", "g_uu"),
+        (GOOD_SPEC + "\n" + _WALKER_TETRAD, "tetrad", None),
+        ("[DEFAULT]\nchi = 1/v\n" + GOOD_SPEC, "DEFAULT", "chi"),
+        (GENERAL_SPEC + "l4 = 0\n", "tetrad", "l4"),
+    ],
+    ids=["domain-typo", "box_z", "lamda", "walker-chi", "walker-g_uu", "walker-tetrad", "default-section", "tetrad-l4"],
+)
+def test_spec_file_rejects_sections_and_keys_it_does_not_read(text, section, key, tmp_path, capsys):
+    path = tmp_path / "unread.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_spec_file(str(path))
+    assert f"[{section}]" in str(err.value)
+    if key is not None:
+        assert repr(key) in str(err.value)
+    assert main(["analyze", "--spec", str(path), "--points", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["analyze"])  # missing --spec
