@@ -3,6 +3,7 @@ classify, and assemble a Report."""
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -44,7 +45,13 @@ from .report import Report, _roots_to_dict
 _CHUNK_POINTS = 250
 
 
-def _attribute_point(evaluate, pts: np.ndarray):
+def _where(pts: np.ndarray, i: int, offset: int, stage: str) -> str:
+    """Error suffix naming chunk row i by its global sample index and its
+    coordinates; offset is the global index of pts[0]."""
+    return f" [at sample {offset + i}, stage {stage}] [at point {pts[i].tolist()}]"
+
+
+def _attribute_point(evaluate, pts: np.ndarray, offset: int, stage: str):
     """evaluate(pts); if it fails with a DomainError or SingularMetric, it
     is re-run point by point and the error names the first failing sample."""
     try:
@@ -54,7 +61,7 @@ def _attribute_point(evaluate, pts: np.ndarray):
             try:
                 evaluate(pts[i : i + 1])
             except (DomainError, SingularMetric) as single_err:
-                raise err.__class__(f"{single_err} [at point {pts[i].tolist()}]") from err
+                raise err.__class__(f"{single_err}{_where(pts, i, offset, stage)}") from err
         raise
 
 
@@ -87,11 +94,13 @@ def _double_root_defect(coeffs: np.ndarray, tvals: np.ndarray, zero_form: np.nda
     return np.where(zero_form, 0.0, np.maximum(np.abs(dq0), np.abs(dq1)) / scale)
 
 
-def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
+def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0) -> dict:
     """Per-point columns of one chunk: each is an array or a list whose
-    first axis is the point.  The residuals are keyed (distribution, kind)."""
+    first axis is the point.  The residuals are keyed (distribution, kind).
+    offset is the global sample index of pts[0], which errors name."""
     spec = cfg.spec
-    mj = _attribute_point(lambda p: metric_jet(spec, p, 2), pts)  # curvature needs second partials only
+    # curvature needs second partials only
+    mj = _attribute_point(lambda p: metric_jet(spec, p, 2), pts, offset, "metric")
     pack = curvature(mj)
 
     out: dict = {
@@ -107,7 +116,7 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
 
     if tet is not None:
         # the one evaluation of the tetrad and the t-field in this chunk
-        frame = _attribute_point(lambda p: Frame.of(tet, p, cfg.t_field), pts)
+        frame = _attribute_point(lambda p: Frame.of(tet, p, cfg.t_field), pts, offset, "frame")
         # each point's tolerance is at least TOL_ZERO, so a smaller maximum passes all
         if tetrad_max_defect(mj, frame) > TOL_ZERO:
             defects = _tetrad_defects(mj, frame)
@@ -116,7 +125,7 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa) -> dict:
             if defects[worst] > tol[worst]:
                 raise NullplaneError(
                     f"tetrad normalization defect {defects[worst]:.2e} exceeds tolerance {tol[worst]:.2e}"
-                    f" [at point {pts[worst].tolist()}]"
+                    + _where(pts, worst, offset, "tetrad")
                 )
         from ..tensor.dual import volume_and_duals
 
@@ -184,9 +193,13 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     kappa = default_kappa() if walker_kind else None
 
     parts = np.array_split(pts, -(-pts.shape[0] // _CHUNK_POINTS))
+    starts = accumulate(map(len, parts), initial=0)  # global index of each part's first sample
     # numpy sums a one-point batch in another order than a larger one, so a
     # lone point is analysed as two copies and keeps the first
-    chunks = [_chunk_arrays(cfg, np.repeat(part, 2, axis=0) if len(part) == 1 else part, kappa) for part in parts]
+    chunks = [
+        _chunk_arrays(cfg, np.repeat(part, 2, axis=0) if len(part) == 1 else part, kappa, start)
+        for part, start in zip(parts, starts)
+    ]
     data = {key: _concat([chunk[key][: len(part)] for part, chunk in zip(parts, chunks)]) for key in chunks[0]}
 
     has_frames = "SD_roots" in data

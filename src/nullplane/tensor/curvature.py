@@ -89,10 +89,9 @@ def christoffel(mj: MetricJet) -> CurvaturePack:
     dg = deriv_coeffs(mj.g, mj.order)  # (4,4,4,Mg,P), dg[i,j,k] = d_k g_ij
     # sums[d,b,c] = d_b g_dc + d_c g_db - d_d g_bc
     sums = dg.transpose(0, 2, 1, 3, 4) + dg - dg.transpose(2, 0, 1, 3, 4)
-    ginv = truncate_coeffs(mj.g_inv, mj.order, og)
     gamma = np.zeros_like(sums)
     for d in range(4):
-        gamma = gamma + mul_coeffs(ginv[:, d][:, None, None], sums[d][None], og, og, og)
+        gamma = gamma + mul_coeffs(mj.g_inv[:, d][:, None, None], sums[d][None], og, og, og)
     gamma = 0.5 * gamma
     return CurvaturePack(mj=mj, gamma=gamma, gamma_order=og)
 
@@ -121,7 +120,7 @@ def curvature(mj: MetricJet) -> CurvaturePack:
     r_up = t1 - t2 + gg1 - gg2
 
     g = truncate_coeffs(mj.g, mj.order, orc)
-    ginv = truncate_coeffs(mj.g_inv, mj.order, orc)
+    ginv = truncate_coeffs(mj.g_inv, og, orc)
     riem = np.zeros_like(r_up)
     for e in range(4):
         riem = riem + mul_coeffs(g[:, e][:, None, None, None], r_up[e][None], orc, orc, orc)

@@ -28,6 +28,7 @@ from ..exprkit.jets import (
     div_coeffs,
     mul_coeffs,
     n_coeffs,
+    truncate_coeffs,
     _eval_coeffs,
 )
 
@@ -128,15 +129,17 @@ def det_and_adjugate(g: np.ndarray, order: int):
 
 @dataclass
 class MetricJet:
-    """Metric values and raw partials (to ``order``) at a point batch."""
+    """Metric values and raw partials (to ``order``) at a point batch; the
+    inverse and the determinant stop one order lower, at max(order - 1, 0),
+    since that is all the connection and the curvature read."""
 
     spec: MetricSpec
     points: np.ndarray  # (P, 4)
     single: bool
     order: int
-    g: np.ndarray  # (4, 4, M, P)
-    g_inv: np.ndarray
-    det: np.ndarray  # (M, P)
+    g: np.ndarray  # (4, 4, M, P), M = n_coeffs(order)
+    g_inv: np.ndarray  # (4, 4, Mi, P), Mi = n_coeffs(max(order - 1, 0))
+    det: np.ndarray  # (Mi, P)
 
     @property
     def npoints(self) -> int:
@@ -152,7 +155,8 @@ class MetricJet:
 
 
 def metric_jet(spec: MetricSpec, p, order: int = 3) -> MetricJet:
-    """Evaluate the metric, its inverse, and partials at the point(s)."""
+    """Evaluate the metric and its partials to ``order`` at the point(s), and
+    its inverse and determinant to max(order - 1, 0)."""
     pts, single = as_points(p)
     check_finite_points(pts)
     npts = pts.shape[0]
@@ -188,8 +192,11 @@ def metric_jet(spec: MetricSpec, p, order: int = 3) -> MetricJet:
     if np.any((eigs > 0).sum(axis=1) != 2):
         raise SingularMetric("metric signature is not (+, +, -, -) at a sampled point")
 
-    det, adj = det_and_adjugate(g, order)
-    g_inv = div_coeffs(adj, det[None, None], order, order, order)
+    # curvature reads g^-1 to one order below g; lower Leibniz coefficients
+    # do not depend on the order they are truncated at
+    oi = max(order - 1, 0)
+    det, adj = det_and_adjugate(truncate_coeffs(g, order, oi), oi)
+    g_inv = div_coeffs(adj, det[None, None], oi, oi, oi)
 
     ident = np.einsum("pij,pjk->pik", g_val, np.moveaxis(g_inv[:, :, 0, :], -1, 0))
     if np.max(np.abs(ident - np.eye(4))) > 1e-9:

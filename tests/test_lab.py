@@ -1,14 +1,18 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nullplane.errors import ConfigError, NullplaneError
 from nullplane.exprkit import u, v, x, y
 from nullplane.families import mk_cp_example, mk_ricci_null, mk_sd_two_sided, mk_two_sided, mk_walker, random_polys
 from nullplane.lab import AnalysisConfig, load_spec_file, run_analysis, sample_points
 from nullplane.lab.cli import main
+from nullplane.lab.report import dumps_json
 from conftest import GENERAL_SPEC, sample_box
 
 GOOD_SPEC = """
@@ -320,6 +324,44 @@ def test_domain_error_names_point(replace, tmp_path, capsys):
     assert capsys.readouterr().err.rstrip("\n").endswith(where)
 
 
+@pytest.mark.parametrize("stage", ["metric", "frame", "tetrad"])
+def test_error_names_global_sample_and_stage(stage, tmp_path):
+    """An error in a later chunk names the sample by its index in the whole
+    run, not in its chunk, and the stage that failed.  Only the sample with
+    the smallest u fails: t lies between the two smallest sampled u."""
+    from nullplane.exprkit import parse_expr
+    from nullplane.lab import analyze
+
+    points = 300
+    assert -(-points // analyze._CHUNK_POINTS) == 2  # chunks of 150
+
+    def config(seed, metric="u^2", l0="exp(-y/4)"):
+        if stage == "metric":
+            spec = mk_walker(parse_expr(metric), v**2, u).spec
+            return AnalysisConfig(spec=spec, points=points, seed=seed)
+        path = tmp_path / "general.ini"
+        path.write_text(GENERAL_SPEC.replace("l0 = exp(-y/4)", f"l0 = {l0}"))
+        cfg = load_spec_file(str(path))
+        cfg.points, cfg.seed = points, seed
+        return cfg
+
+    seed = next(s for s in range(100) if np.argmin(sample_points(config(s))[:, 0]) >= analyze._CHUNK_POINTS)
+    pts = sample_points(config(seed))
+    index = int(np.argmin(pts[:, 0]))
+    lo = np.sort(pts[:, 0])[:2]
+    t, k = f"{(lo[0] + lo[1]) / 2:.17g}", f"{50.0 / (lo[1] - lo[0]):.17g}"
+    broken = {
+        "metric": {"metric": f"ln(u - {t})"},
+        "frame": {"l0": f"exp(-y/4) + ln(u - {t}) - ln(u - {t})"},
+        # l scaled by 1 + e^25 at the sample, by 1 + e^-25 or less elsewhere
+        "tetrad": {"l0": f"(1 + exp({k} * ({t} - u))) * exp(-y/4)"},
+    }[stage]
+    with pytest.raises(NullplaneError) as info:
+        run_analysis(config(seed, **broken))
+    where = f"[at point {pts[index].tolist()}]"
+    assert str(info.value).endswith(f" [at sample {index}, stage {stage}] {where}")
+
+
 def test_adapted_middle_coeff_matches_factored_quartic():
     """Oracle: a quartic lead * prod_i (t1 - tau_i t0), with coefficient c_k
     on t0^(4-k) t1^k, becomes prod_i ((a1 - tau_i a0) + (b1 - tau_i b0) s)
@@ -502,6 +544,94 @@ def test_report_json_roundtrip():
     assert parsed["tool"]["name"] == "nullplane"
     assert "generated_at" in parsed
     assert len(parsed["points"]) == 4
+
+
+_SPECIAL_CHARS = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "\U0001f600"])
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 3.0, -2.0, 1e16]),
+    st.floats().map(np.float64),
+)
+_SCALARS = st.one_of(
+    st.text(st.one_of(st.characters(), _SPECIAL_CHARS), max_size=8),
+    _FLOATS,
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.booleans(),
+    st.none(),
+)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(st.one_of(_FLOATS, st.integers(), st.booleans()), max_size=6),
+        st.dictionaries(st.text(st.one_of(st.characters(), _SPECIAL_CHARS), max_size=6), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCS)
+@example({1: "a", 2.5: "b"})  # non-str keys
+@example({True: 1, False: [], 0.5: {}})
+@example({None: -0.0})
+@example({"k": [1.0, 2.0, math.nan]})  # nan in a list of floats
+@example([[], {}, [[1.0]], ()])
+def test_dumps_json_writes_the_bytes_of_json_dumps(doc):
+    assert dumps_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+_UNSERIALIZABLE = (np.int64(1), {1, 2}, object())
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [doc for bad in _UNSERIALIZABLE for doc in (bad, [1.0, bad], {"k": [bad]}, {"k": bad})]
+    + [{(1, 2): 1.0}, {(): 1.0}],  # keys json.dumps rejects too
+)
+def test_dumps_json_rejects_what_json_dumps_rejects(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        dumps_json(doc)
+
+
+def test_report_outputs_are_the_bytes_of_json_dumps(monkeypatch, tmp_path, capsys):
+    """A walker report, the cp pair printed by the CLI, a general-kind report
+    with a [tetrad] and the selftest listing are laid out as json.dumps lays
+    out the same document.  The selftest runs without criterion 01, the 11 s
+    finite-difference check; its row has the same fields as the others."""
+    import hashlib
+    import importlib
+
+    selftest_mod = importlib.import_module("nullplane.lab.selftest")
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def as_json_dumps(doc):
+        return json.dumps(doc, sort_keys=True, indent=2)
+
+    configs = _shared_evaluation_configs(tmp_path)
+    for case in ("walker", "general"):
+        report = run_analysis(configs[case])
+        text = report.to_json(with_timestamp=False)
+        assert digest(text) == digest(as_json_dumps(report.to_dict(with_timestamp=False)))
+        text = report.to_json()
+        assert digest(text) == digest(as_json_dumps(json.loads(text)))
+
+    assert main(["family", "--name", "cp", "--F", "x*y", "--points", "5"]) == 0
+    out = capsys.readouterr().out
+    assert set(json.loads(out)) == {"cp_g", "cp_h"}
+    assert digest(out) == digest(as_json_dumps(json.loads(out)) + "\n")
+
+    monkeypatch.setattr(selftest_mod, "CRITERIA", selftest_mod.CRITERIA[1:])
+    assert selftest_mod.selftest("json") == 0
+    out = capsys.readouterr().out
+    assert [row["id"] for row in json.loads(out)] == [f"c{i:02d}" for i in range(2, 14)]
+    assert digest(out) == digest(as_json_dumps(json.loads(out)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,37 @@ def test_inverse_identity_and_partial_symmetry(walker_corpus):
         assert np.allclose(mj.g, np.swapaxes(mj.g, 0, 1))
 
 
+@pytest.mark.parametrize("case", ["walker", "conformal_walker", "general"])
+def test_inverse_built_one_order_below_the_metric(case, tmp_path):
+    """g^-1 and det stop at max(order - 1, 0), and equal bit for bit the
+    leading coefficients of the inverse and determinant built at the full
+    order: lower Leibniz coefficients do not depend on the truncation."""
+    from nullplane.exprkit.jets import div_coeffs, n_coeffs
+    from nullplane.families import mk_cp_example, random_polys
+    from nullplane.lab import load_spec_file
+    from nullplane.tensor.metric import det_and_adjugate
+    from conftest import GENERAL_SPEC
+
+    if case == "walker":
+        spec = MetricSpec.walker(*random_polys(73_000, 2, ("u", "v", "x", "y"), 3))
+    elif case == "conformal_walker":
+        spec = mk_cp_example(parse_expr("x*y"))[1].spec
+    else:
+        path = tmp_path / "general.ini"
+        path.write_text(GENERAL_SPEC)
+        spec = load_spec_file(str(path)).spec
+    for npts in (1, 2, 13, 250):
+        pts = sample_box(73_100 + npts, npts)
+        for order in (0, 2, 3):
+            mj = metric_jet(spec, pts, order)
+            m = n_coeffs(max(order - 1, 0))
+            assert mj.g_inv.shape[2] == mj.det.shape[0] == m
+            det, adj = det_and_adjugate(mj.g, order)
+            g_inv = div_coeffs(adj, det[None, None], order, order, order)
+            assert np.array_equal(mj.det, det[:m]), (npts, order)
+            assert np.array_equal(mj.g_inv, g_inv[:, :, :m]), (npts, order)
+
+
 def test_signature_rejection():
     euclid = MetricSpec.general([[Num(1.0) if i == j else Num(0.0) for j in range(4)] for i in range(4)])
     with pytest.raises(SingularMetric):
