@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -361,28 +362,42 @@ def _eval_values(e: Expr, pts: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 
-def fd_derivative(e: Expr, p, multi_index, step: float = 1e-3) -> float:
-    """Central finite-difference estimate of a partial derivative, error O(step^2).
-
-    Independent of the jet machinery: only calls ``eval_scalar`` on shifted
-    points.  Orders up to 3 (the jet default) are supported.
-    """
+@lru_cache(maxsize=64)
+def _fd_stencils(multi_indices: tuple, step: float) -> tuple:
+    """The offsets (N, 4) of the stencil points of every multi-index,
+    stacked, and per multi-index (start, end, sign weights, (2 step)^order)."""
     if step <= 0.0:
         raise ValueError("step must be positive")
-    idx = _normalize_multi_index(multi_index)
-    total = sum(idx)
-    if total > 3:
-        raise ValueError("finite differences support |multi_index| <= 3")
+    offsets, parts, start = [], [], 0
+    for idx in map(_normalize_multi_index, multi_indices):
+        total = sum(idx)
+        if total > 3:
+            raise ValueError("finite differences support |multi_index| <= 3")
+        # nested central first differences: the 2^total sign choices
+        dirs = [i for i in range(_NVARS) for _ in range(idx[i])]
+        signs = np.array(list(product((-1.0, 1.0), repeat=total))).reshape(2**total, total)
+        offsets.append(step * (signs[:, :, None] * np.eye(_NVARS)[dirs][None, :, :]).sum(axis=1))
+        parts.append((start, start + len(signs), np.prod(signs, axis=1), (2.0 * step) ** total))
+        start += len(signs)
+    return np.concatenate(offsets), parts
+
+
+def fd_derivatives(e: Expr, p, multi_indices, step: float = 1e-3) -> np.ndarray:
+    """Central finite-difference estimates of partial derivatives at one
+    point, error O(step^2), from one evaluation of e over every stencil.
+
+    Independent of the jet machinery: only evaluates e's values at shifted
+    points.  Orders up to 3 (the jet default) are supported.
+    """
+    offsets, parts = _fd_stencils(tuple(multi_indices), float(step))
     pts, single = as_points(p)
     if not single:
-        raise ValueError("fd_derivative evaluates one point at a time")
-    if total == 0:
-        return eval_scalar(e, p)
-    # nested central first differences: one vectorized evaluation over the
-    # 2^total sign choices
-    dirs = [i for i in range(_NVARS) for _ in range(idx[i])]
-    signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * total), indexing="ij")).reshape(total, -1).T
-    shifted = pts[0][None, :] + step * (signs[:, :, None] * np.eye(_NVARS)[dirs][None, :, :]).sum(axis=1)
-    vals = _eval_values(e, shifted)
-    weights = np.prod(signs, axis=1)
-    return float((weights * vals).sum() / (2.0 * step) ** total)
+        raise ValueError("finite differences evaluate one point at a time")
+    vals = _eval_values(e, pts[0][None, :] + offsets)
+    return np.array([(weights * vals[a:b]).sum() / scale for a, b, weights, scale in parts])
+
+
+def fd_derivative(e: Expr, p, multi_index, step: float = 1e-3) -> float:
+    """Central finite-difference estimate of one partial derivative; see
+    fd_derivatives."""
+    return float(fd_derivatives(e, p, [multi_index], step)[0])

@@ -60,15 +60,21 @@ class ProjParam:
         return _t_values(_eval_coeffs(self.t0, pts, 0)[0], _eval_coeffs(self.t1, pts, 0)[0], pts)
 
 
+def _at_point(error: type, reason: str, pts: np.ndarray, row: int) -> Exception:
+    """error naming pts[row] by its coordinates; it keeps the row and the
+    reason, so that a caller can name the sample as well."""
+    err = error(f"{reason} [at point {pts[row].tolist()}]")
+    err.row, err.reason = row, reason
+    return err
+
+
 def _t_values(t0: np.ndarray, t1: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """The t-field values (2, P); raises DegenerateParam where both vanish."""
     vals = np.stack([t0, t1])
     scale = np.max(np.abs(vals), axis=0)
     bad = np.flatnonzero(scale < 1e-12)
     if bad.size:
-        raise DegenerateParam(
-            f"both projective components vanish at a sampled point [at point {pts[bad[0]].tolist()}]"
-        )
+        raise _at_point(DegenerateParam, "both projective components vanish at a sampled point", pts, bad[0])
     return vals
 
 
@@ -249,7 +255,7 @@ def _check_rank(vals: np.ndarray, pts: np.ndarray) -> None:
     sv = np.linalg.svd(vals.transpose(2, 1, 0), compute_uv=False)  # (P,k)
     bad = np.flatnonzero(sv[:, k - 1] < 1e-10 * np.maximum(sv[:, 0], 1e-300))
     if bad.size:
-        raise RankDeficient(f"generators have rank < {k} [at point {pts[bad[0]].tolist()}]")
+        raise _at_point(RankDeficient, f"generators have rank < {k}", pts, bad[0])
 
 
 def _generators(dist: Distribution, pts: np.ndarray, frame: Optional[Frame] = None) -> tuple:

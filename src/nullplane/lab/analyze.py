@@ -8,7 +8,7 @@ from math import comb
 
 import numpy as np
 
-from ..errors import DomainError, NullplaneError, SingularMetric
+from ..errors import DegenerateParam, DomainError, NullplaneError, RankDeficient, SingularMetric
 from ..frames import (
     Frame,
     ProjParam,
@@ -27,6 +27,7 @@ from ..frames import (
 from ..tensor.curvature import curvature, box_scalar, walker_box_closed_form
 from ..tensor.metric import CONFORMAL_WALKER, WALKER, metric_jet
 from ..weylalg import (
+    RootTable,
     default_kappa,
     einstein_residual,
     root_structure,
@@ -36,7 +37,7 @@ from ..weylalg import (
     _rps_of,
 )
 from .config import TOL_ZERO, AnalysisConfig, sample_points
-from .report import Report, _roots_to_dict
+from .report import Report
 
 
 # Most points per _chunk_arrays call, so memory is bounded in the point count.
@@ -51,18 +52,28 @@ def _where(pts: np.ndarray, i: int, offset: int, stage: str) -> str:
     return f" [at sample {offset + i}, stage {stage}] [at point {pts[i].tolist()}]"
 
 
-def _attribute_point(evaluate, pts: np.ndarray, offset: int, stage: str):
-    """evaluate(pts); if it fails with a DomainError or SingularMetric, it
-    is re-run point by point and the error names the first failing sample."""
+def _attribute_point(evaluate, pts: np.ndarray, offset: int, stage: str, at_one=None):
+    """evaluate(pts); if it fails with a DomainError or SingularMetric,
+    at_one (by default evaluate) is run point by point and the error names
+    the first failing sample."""
     try:
         return evaluate(pts)
     except (DomainError, SingularMetric) as err:
         for i in range(pts.shape[0]):
             try:
-                evaluate(pts[i : i + 1])
+                (at_one or evaluate)(pts[i : i + 1])
             except (DomainError, SingularMetric) as single_err:
                 raise err.__class__(f"{single_err}{_where(pts, i, offset, stage)}") from err
         raise
+
+
+def _attribute_row(evaluate, pts: np.ndarray, offset: int, stage: str):
+    """evaluate(); a RankDeficient or DegenerateParam, which knows the chunk
+    row it failed at, names that row's global sample and the stage."""
+    try:
+        return evaluate()
+    except (RankDeficient, DegenerateParam) as err:
+        raise err.__class__(f"{err.reason}{_where(pts, err.row, offset, stage)}") from err
 
 
 def _adapted_middle_coeff(coeffs: np.ndarray, tvals: np.ndarray) -> np.ndarray:
@@ -131,24 +142,26 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0) 
 
         volume_and_duals(mj, frame)  # orientation calibration check
 
-        tvals = frame.t_values()  # (2, P)
+        dists = {
+            "D": dist_D(cfg.t_field, tet),
+            "Z": alpha_dist(ProjParam.of(1, 0), tet),
+            "W": beta_dist(cfg.t_field, tet),
+            "H": dist_H(cfg.t_field, tet),
+        }
+
+        def t_field_and_generators():
+            return frame.t_values(), {name: _generators(dist, pts, frame) for name, dist in dists.items()}
+
+        tvals, gens = _attribute_row(t_field_and_generators, pts, offset, "generators")  # tvals (2, P)
         forms = weyl_quartic(pack, frame)
         # the SD direction is (1 : 0), the ASD direction the t-field's
         for side, direction in (("SD", np.array([[1.0], [0.0]])), ("ASD", tvals)):
             coeffs, roots = forms[side].coeffs, root_structure(forms[side])
             out[f"{side}_coeffs"], out[f"{side}_roots"] = coeffs, roots
-            zero_form = np.array([rl.type_string == "O" for rl in roots])
+            zero_form = roots.type_code == 0
             out[f"{side}_dir_defect"] = _double_root_defect(coeffs, direction, zero_form)
 
-        zdist = alpha_dist(ProjParam.of(1, 0), tet)
-        dists = {
-            "D": dist_D(cfg.t_field, tet),
-            "Z": zdist,
-            "W": beta_dist(cfg.t_field, tet),
-            "H": dist_H(cfg.t_field, tet),
-        }
         gamma = pack.gamma[..., 0, :]  # one connection for every residual
-        gens = {name: _generators(dist, pts, frame) for name, dist in dists.items()}
         for name, gen in gens.items():
             out[name, "frobenius"] = _frobenius_batch(gen)
             out[name, "autoparallel"] = _autoparallel_batch(gen, gamma)
@@ -165,10 +178,12 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0) 
             wasd_coeffs = out["ASD_coeffs"]
         else:
             wp = spec.walker_part()
-            wpack = curvature(metric_jet(wp, pts, 2))
+            wpack = curvature(_attribute_point(lambda p: metric_jet(wp, p, 2), pts, offset, "walker_part"))
             wasd_coeffs = weyl_quartic(wpack, walker_tetrad(wp))["ASD"].coeffs
             # the box of chi reads the walker part's connection from its pack
-            out["box_chi_generic"] = box_scalar(wpack, spec.chi)
+            out["box_chi_generic"] = _attribute_point(
+                lambda p: box_scalar(wpack, spec.chi), pts, offset, "box", lambda p: box_scalar(wp, spec.chi, p)
+            )
             out["box_chi_closed"] = walker_box_closed_form(wp.a, wp.b, wp.c, spec.chi, pts)
         c2_raw = wasd_coeffs[:, 2]
         c2_adapted = _adapted_middle_coeff(wasd_coeffs, tvals)
@@ -181,9 +196,7 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0) 
 
 
 def _concat(parts: list):
-    if isinstance(parts[0], np.ndarray):
-        return np.concatenate(parts)
-    return [item for part in parts for item in part]
+    return RootTable.concatenate(parts) if isinstance(parts[0], RootTable) else np.concatenate(parts)
 
 
 def run_analysis(cfg: AnalysisConfig) -> Report:
@@ -213,7 +226,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     w_integrable = below_tol(("W", "frobenius"))
     w_parallel = below_tol(("W", "parallel"))
     h_integrable = below_tol(("H", "frobenius"))
-    sd_flag = all(rl.type_string == "O" for rl in data["ASD_roots"]) if has_frames else None
+    sd_flag = bool(np.all(data["ASD_roots"].type_code == 0)) if has_frames else None
     ricci_small = bool(np.max(data["ricci_scale"] / np.maximum(data["riemann_scale"], 1e-30)) < TOL_ZERO)
     obstruction_zero = None
     if walker_kind:
@@ -245,36 +258,12 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     else:
         verdict, reason = "yes", "all conditions hold at every sampled point"
 
-    cols = {key: col.tolist() if isinstance(col, np.ndarray) else col for key, col in data.items()}
-    residual_keys = [key for key in cols if isinstance(key, tuple)]
-    records = []
-    for p, point in enumerate(pts.tolist()):
-        rec: dict = {
-            "point": point,
-            "scalar_curvature": cols["scalar"][p],
-            "einstein_residual": cols["einstein"][p],
-        }
-        if has_frames:
-            rec["ricci_null_residual"] = cols["ricci_null"][p]
-            rec["rps_discriminant"] = cols["rps_disc"][p]
-            for side in ("SD", "ASD"):
-                rec[f"quartic_{side.lower()}"] = {
-                    "coeffs": cols[f"{side}_coeffs"][p],
-                    "roots": _roots_to_dict(cols[f"{side}_roots"][p]),
-                }
-            rec["residuals"] = {}
-            for name, kind in residual_keys:
-                rec["residuals"].setdefault(name, {})[kind] = cols[name, kind][p]
-        if walker_kind:
-            rec["obstruction"] = cols["obstruction"][p]
-        if "box_chi_generic" in cols:
-            rec["box_chi"] = {"generic": cols["box_chi_generic"][p], "closed_form": cols["box_chi_closed"][p]}
-        records.append(rec)
-
+    columns = {key: col.tolist() if isinstance(col, np.ndarray) else col for key, col in data.items()}
+    columns["point"] = pts.tolist()
     return Report(
         config=cfg.echo(),
         kappa=kappa.value if kappa is not None else None,
-        point_records=records,
+        columns=columns,
         flags=flags,
         verdict=verdict,
         verdict_reason=reason,

@@ -21,7 +21,7 @@ from ..families import (
 from ..frames import ProjParam
 from .analyze import run_analysis
 from .config import AnalysisConfig, load_spec_file, parse_exclude, _parse_interval
-from .report import Report, dumps_json
+from .report import Report, dumps_reports
 from .selftest import selftest
 
 
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
         elif len(reports) == 1:
             print(next(iter(reports.values())).to_json())
         else:
-            print(dumps_json({name: r.to_dict() for name, r in reports.items()}))
+            print(dumps_reports(reports))
         return 0
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

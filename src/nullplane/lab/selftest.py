@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import DomainError, ObstructionPresent
 from ..exprkit.ast import Num, Var
 from ..exprkit.calculus import add_, diff_expr, mul_
-from ..exprkit.jets import eval_jet, eval_scalar, fd_derivative, monomials
+from ..exprkit.jets import eval_jet, eval_scalar, fd_derivatives, monomials
 from ..exprkit.parser import parse_expr
 from ..exprkit.randexpr import random_expr
 from ..families import (
@@ -115,8 +115,8 @@ def criterion_01() -> CriterionResult:
                 continue
             # oracle self-consistency: reject draws where the central
             # difference has not converged at the tuned steps
-            fd1 = np.array([fd_derivative(e, p, m, step=1e-3) for m in indices])
-            fd2 = np.array([fd_derivative(e, p, m, step=5e-4) for m in indices])
+            fd1 = fd_derivatives(e, p, indices, step=1e-3)
+            fd2 = fd_derivatives(e, p, indices, step=5e-4)
         except DomainError:
             continue
         scale = max(1.0, float(np.max(np.abs(coeffs))))

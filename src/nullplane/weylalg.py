@@ -21,6 +21,7 @@ any particular component convention.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -134,6 +135,66 @@ def weyl_quartic(pack: CurvaturePack, tet) -> dict:
 # descending, then lexicographic.  A point with fewer roots uses those
 # within its slots.
 _CLUSTERS = [s for m in (4, 3, 2, 1) for s in combinations(range(4), m)]
+_CLUSTER_SIZES = np.array([len(s) for s in _CLUSTERS])
+
+# Entry kinds in the order a point's entries sort by; a RootTable's kind
+# codes index this tuple.
+ROOT_KINDS = ("complex_pair", "inf", "real")
+_COMPLEX, _INF, _REAL, _NONE = 0, 1, 2, 3  # _NONE sorts after every kind
+
+
+def root_type_string(code: int) -> str:
+    """The type string of a RootTable type code: "{211}" for 211, "O" for 0."""
+    return "{%d}" % code if code else "O"
+
+
+class RootTable(Sequence):
+    """Root structure of a batch of quartic forms as arrays, the point along
+    the leading axis.  As a sequence it holds each point's RootList, built
+    when it is read.
+
+    type_code     (P,) the digits of the type string (211 for "{211}");
+                  0 for a zero form ("O")
+    kind          (P, 4) each entry's index into ROOT_KINDS, -1 past the
+                  point's last entry
+    value         (P, 4) complex: a real root, or the member of a complex
+                  pair with positive imaginary part; 0 for "inf" and padding
+    multiplicity  (P, 4) int, 0 for padding
+    """
+
+    __slots__ = ("type_code", "kind", "value", "multiplicity")
+    __hash__ = None
+
+    def __init__(self, type_code, kind, value, multiplicity):
+        self.type_code = type_code
+        self.kind = kind
+        self.value = value
+        self.multiplicity = multiplicity
+
+    @staticmethod
+    def concatenate(tables) -> "RootTable":
+        return RootTable(*(np.concatenate([getattr(t, name) for t in tables]) for name in RootTable.__slots__))
+
+    def __len__(self) -> int:
+        return len(self.type_code)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RootTable(*(getattr(self, name)[i] for name in RootTable.__slots__))
+        rows = zip(self.kind[i].tolist(), self.value[i].tolist(), self.multiplicity[i].tolist())
+        entries = tuple(RootEntry(ROOT_KINDS[k], None if k == _INF else v, m) for k, v, m in rows if k >= 0)
+        return RootList(entries, root_type_string(int(self.type_code[i])))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, RootTable):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RootTable({list(self)!r})"
 
 
 def _quartic_roots(c: np.ndarray, lead: np.ndarray):
@@ -162,50 +223,18 @@ def _quartic_roots(c: np.ndarray, lead: np.ndarray):
     return roots, real
 
 
-def _classify(clusters: list, m_inf: int) -> RootList:
-    """RootList of one point's (center, multiplicity, radius) clusters."""
-    entries = []
-    complex_clusters = []
-    for center, m, r in clusters:
-        if abs(center.imag) <= r:
-            entries.append(RootEntry("real", complex(center.real, 0.0), m))
-        else:
-            complex_clusters.append((center, m))
-    used = [False] * len(complex_clusters)
-    for i, (z, m) in enumerate(complex_clusters):
-        if used[i]:
-            continue
-        used[i] = True
-        best, bestd = None, np.inf
-        for j in range(i + 1, len(complex_clusters)):
-            if used[j] or complex_clusters[j][1] != m:
-                continue
-            d = abs(z.conjugate() - complex_clusters[j][0])
-            if d < bestd:
-                best, bestd = j, d
-        if best is not None:
-            used[best] = True
-        rep = z if z.imag > 0 else z.conjugate()
-        entries.append(RootEntry("complex_pair", rep, m))
-    if m_inf:
-        entries.append(RootEntry("inf", None, m_inf))
-
-    entries.sort(key=lambda e: (e.kind, -e.multiplicity, abs(e.value) if e.value is not None else 0.0))
-    mults = []
-    for e in entries:
-        mults.extend([e.multiplicity] * (2 if e.kind == "complex_pair" else 1))
-    type_string = "{" + "".join(str(m) for m in sorted(mults, reverse=True)) + "}"
-    return RootList(entries=tuple(entries), type_string=type_string)
-
-
 def root_structure(q: QuarticForm):
-    """Roots with multiplicities of a QuarticForm: a RootList for a
-    single-point form, else a list of them, classified in one batch.
+    """Roots with multiplicities of a QuarticForm: a RootTable of the batch,
+    classified with array operations, or the RootList of a single-point form.
 
     Near-zero leading coefficients deflate to roots at infinity.  The finite
     roots are np.roots' eigenvalues; a greedy search then takes the first
     cluster of the remaining roots, largest first, whose members lie within
-    _ROOT_TOL^(1/multiplicity) (relative beyond 1) of their mean.
+    _ROOT_TOL^(1/multiplicity) (relative beyond 1) of their mean.  A cluster
+    is real when its center lies within that radius of the real axis; each
+    complex one, in search order, is paired with the nearest conjugate of a
+    later unpaired one of equal multiplicity.  A point's entries are sorted
+    by (kind, -multiplicity, |value|).
     """
     c = np.reshape(np.asarray(q.coeffs, dtype=float), (-1, 5))
     k = c.shape[0]
@@ -215,13 +244,14 @@ def root_structure(q: QuarticForm):
     m_inf = np.cumprod(small, axis=1).sum(axis=1)
     lead = 4 - m_inf  # the number of finite roots, if positive
     rows = np.flatnonzero(~zero)
+    n = rows.size
     roots, real = _quartic_roots(c[rows], lead[rows])
 
     remaining = np.arange(4) < lead[rows, None]
     centers, radii, taken = [], [], []
     for combo in _CLUSTERS:
         m = len(combo)
-        total = np.zeros(rows.size, dtype=complex)  # sum(group) starts at 0
+        total = np.zeros(n, dtype=complex)  # sum(group) starts at 0
         for i in combo:
             total = total + roots[:, i]
         # a point whose roots np.roots returns as floats divides as floats
@@ -234,18 +264,56 @@ def root_structure(q: QuarticForm):
         radii.append(r)
         taken.append(take)
 
-    out = [RootList(entries=(), type_string="O")] * k
-    per_point = zip(
-        rows.tolist(),
-        np.stack(centers, axis=1).tolist(),
-        np.stack(radii, axis=1).tolist(),
-        np.stack(taken, axis=1).tolist(),
-        m_inf[rows].tolist(),
+    # each point's taken clusters in search order: at most four
+    taken = np.stack(taken, axis=1)
+    pick = np.argsort(~taken, axis=1, kind="stable")[:, :4]
+    valid = np.take_along_axis(taken, pick, axis=1)
+    center = np.take_along_axis(np.stack(centers, axis=1), pick, axis=1)
+    radius = np.take_along_axis(np.stack(radii, axis=1), pick, axis=1)
+    mult = np.where(valid, _CLUSTER_SIZES[pick], 0)
+    is_real = valid & (np.abs(center.imag) <= radius)
+    unpaired = valid & ~is_real  # complex clusters not yet given or taken as a partner
+    first = np.zeros_like(valid)  # complex clusters that make an entry
+    for i in range(4):
+        first[:, i] = unpaired[:, i]
+        later = unpaired[:, i + 1 :] & first[:, i, None] & (mult[:, i + 1 :] == mult[:, i, None])
+        d = np.where(later, np.abs(center[:, i, None].conj() - center[:, i + 1 :]), np.inf)
+        if d.shape[1]:
+            best = np.argmin(d, axis=1)  # the first of equal distances
+            found = np.flatnonzero(d[np.arange(n), best] < np.inf)
+            unpaired[found, i + 1 + best[found]] = False
+
+    # entries: one per real cluster, one per first complex cluster, and the
+    # roots at infinity in a fifth slot; then each point's stable sort
+    kind = np.full((n, 5), _NONE)
+    kind[:, :4] = np.where(is_real, _REAL, np.where(first, _COMPLEX, _NONE))
+    kind[:, 4] = np.where(m_inf[rows] > 0, _INF, _NONE)
+    value = np.zeros((n, 5), dtype=complex)
+    value[:, :4] = np.where(is_real, center.real, np.where(center.imag > 0, center, center.conj()))
+    mult = np.concatenate([mult, m_inf[rows, None]], axis=1)
+    order = np.lexsort((np.abs(value).ravel(), -mult.ravel(), kind.ravel(), np.repeat(np.arange(n), 5)))
+    order = order.reshape(n, 5)[:, :4]  # padding sorts last; a point has at most four entries
+    kind, value, mult = (a.ravel()[order] for a in (kind, value, mult))
+    pad = kind == _NONE
+
+    # the type code: the entries' multiplicities, a pair's twice, descending
+    digits = np.concatenate([mult, np.where(kind == _COMPLEX, mult, 0)], axis=1)
+    digits = np.where(pad[:, [0, 1, 2, 3, 0, 1, 2, 3]], 0, digits)
+    code = np.zeros(n, dtype=np.int64)
+    for d in (-np.sort(-digits, axis=1)).T:
+        code = np.where(d > 0, code * 10 + d, code)
+
+    table = RootTable(
+        np.zeros(k, dtype=np.int64),
+        np.full((k, 4), -1),
+        np.zeros((k, 4), dtype=complex),
+        np.zeros((k, 4), dtype=np.int64),
     )
-    for p, cs, rs, ts, mi in per_point:
-        clusters = [(cs[j], len(combo), rs[j]) for j, combo in enumerate(_CLUSTERS) if ts[j]]
-        out[p] = _classify(clusters, mi)
-    return out[0] if np.ndim(q.coeffs) == 1 else out
+    table.type_code[rows] = code
+    table.kind[rows] = np.where(pad, -1, kind)
+    table.value[rows] = np.where(pad | (kind == _INF), 0.0, value)
+    table.multiplicity[rows] = np.where(pad, 0, mult)
+    return table[0] if np.ndim(q.coeffs) == 1 else table
 
 
 # ---------------------------------------------------------------------------

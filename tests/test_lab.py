@@ -362,6 +362,58 @@ def test_error_names_global_sample_and_stage(stage, tmp_path):
     assert str(info.value).endswith(f" [at sample {index}, stage {stage}] {where}")
 
 
+@pytest.mark.parametrize("stage", ["generators-param", "generators-rank", "walker_part", "box"])
+def test_later_stage_error_names_global_sample_and_stage(stage, monkeypatch):
+    """The t-field values and the generators (a t-field that vanishes at a
+    sample, or is small enough there for the 3-plane H to lose rank), the
+    conformal_walker walker part's metric and the box of chi name the
+    failing sample by its index in the whole run and the stage.  No
+    conformal_walker metric fails only in its walker part or its box, so
+    those two are made to fail at the sample with the smallest u."""
+    from nullplane.errors import DomainError
+    from nullplane.exprkit import parse_expr
+    from nullplane.frames import ProjParam
+    from nullplane.lab import analyze
+
+    points = 300
+    conformal = stage in ("walker_part", "box")
+
+    def config(seed, t_field=None):
+        if conformal:
+            _, h_inst, t_field = mk_cp_example(x * y)
+            return AnalysisConfig(spec=h_inst.spec, t_field=t_field, points=points, seed=seed, exclude=(("v", 0.0),))
+        return AnalysisConfig(spec=mk_walker(u**2, v**2, u).spec, t_field=t_field, points=points, seed=seed)
+
+    seed = next(s for s in range(100) if np.argmin(sample_points(config(s))[:, 0]) >= analyze._CHUNK_POINTS)
+    pts = sample_points(config(seed))
+    index = int(np.argmin(pts[:, 0]))
+    lo = np.sort(pts[:, 0])[:2]
+    reason = "made to fail"
+    if stage == "generators-param":  # both components vanish at the sample
+        cfg = config(seed, ProjParam.of(parse_expr(f"u - {float(lo[0])!r}"), 0))
+        reason = "both projective components vanish at a sampled point"
+    elif stage == "generators-rank":  # t0 = -2e-12 at the sample: H loses rank, t passes
+        cfg = config(seed, ProjParam.of(parse_expr(f"u - {float(lo[0]) + 2e-12!r}"), 0))
+        reason = "generators have rank < 3"
+    else:
+        cfg = config(seed)
+        name = {"walker_part": "metric_jet", "box": "box_scalar"}[stage]
+        original = getattr(analyze, name)
+
+        def failing(first, *args):
+            # metric_jet(spec, p, order), box_scalar(pack, chi) or box_scalar(spec, chi, p)
+            at = args[0] if name == "metric_jet" else args[1] if len(args) > 1 else first.points
+            if (stage == "box" or first.kind == "walker") and np.any(np.atleast_2d(at)[:, 0] < lo.mean()):
+                raise DomainError(reason)
+            return original(first, *args)
+
+        monkeypatch.setattr(analyze, name, failing)
+    with pytest.raises(NullplaneError) as info:
+        run_analysis(cfg)
+    where = f"[at point {pts[index].tolist()}]"
+    assert str(info.value) == f"{reason} [at sample {index}, stage {stage.split('-')[0]}] {where}"
+
+
 def test_adapted_middle_coeff_matches_factored_quartic():
     """Oracle: a quartic lead * prod_i (t1 - tau_i t0), with coefficient c_k
     on t0^(4-k) t1^k, becomes prod_i ((a1 - tau_i a0) + (b1 - tau_i b0) s)
@@ -599,14 +651,18 @@ def test_dumps_json_rejects_what_json_dumps_rejects(doc):
 
 
 def test_report_outputs_are_the_bytes_of_json_dumps(monkeypatch, tmp_path, capsys):
-    """A walker report, the cp pair printed by the CLI, a general-kind report
-    with a [tetrad] and the selftest listing are laid out as json.dumps lays
-    out the same document.  The selftest runs without criterion 01, the 11 s
-    finite-difference check; its row has the same fields as the others."""
+    """Reports of every shape (walker at P = 1, 12 and 251, which is two
+    chunks; conformal_walker, with box_chi; general-kind with a [tetrad] and
+    without one, which has no frames), the cp pair printed by the CLI and
+    the selftest listing are laid out as json.dumps lays out the same
+    document.  The selftest runs without criterion 01, the finite-difference
+    check; its row has the same fields as the others."""
+    import copy
     import hashlib
     import importlib
 
     selftest_mod = importlib.import_module("nullplane.lab.selftest")
+    report_mod = importlib.import_module("nullplane.lab.report")
 
     def digest(text):
         return hashlib.sha256(text.encode()).hexdigest()
@@ -615,8 +671,26 @@ def test_report_outputs_are_the_bytes_of_json_dumps(monkeypatch, tmp_path, capsy
         return json.dumps(doc, sort_keys=True, indent=2)
 
     configs = _shared_evaluation_configs(tmp_path)
-    for case in ("walker", "general"):
+    for points in (1, 251):
+        configs[f"walker-{points}"] = copy.copy(configs["walker"])
+        configs[f"walker-{points}"].points = points
+    path = tmp_path / "no_frames.ini"
+    path.write_text(GENERAL_SPEC[: GENERAL_SPEC.index("[tetrad]")])
+    configs["general-no-frames"] = load_spec_file(str(path))
+    configs["general-no-frames"].points = 5
+    shapes = {
+        "walker": "quartic_sd",
+        "walker-1": "quartic_sd",
+        "walker-251": "quartic_sd",
+        "conformal_walker": "box_chi",
+        "general": "quartic_sd",
+        "general-no-frames": None,
+    }
+    assert set(configs) == set(shapes)
+    for case, key in shapes.items():
         report = run_analysis(configs[case])
+        assert len(report.point_records) == configs[case].points
+        assert all(key in rec for rec in report.point_records) if key else "residuals" not in report.point_records[0]
         text = report.to_json(with_timestamp=False)
         assert digest(text) == digest(as_json_dumps(report.to_dict(with_timestamp=False)))
         text = report.to_json()
@@ -626,12 +700,84 @@ def test_report_outputs_are_the_bytes_of_json_dumps(monkeypatch, tmp_path, capsy
     out = capsys.readouterr().out
     assert set(json.loads(out)) == {"cp_g", "cp_h"}
     assert digest(out) == digest(as_json_dumps(json.loads(out)) + "\n")
+    # the pair's writer against json.dumps of the same reports, one timestamp for all
+    monkeypatch.setattr(report_mod.time, "strftime", lambda fmt, t: "2026-01-01T00:00:00Z")
+    g_inst, h_inst, t_field = mk_cp_example(x * y)
+    pair = {
+        inst.name: run_analysis(AnalysisConfig(spec=inst.spec, t_field=t_field, points=5, exclude=(("v", 0.0),)))
+        for inst in (g_inst, h_inst)
+    }
+    text = report_mod.dumps_reports(pair)
+    assert digest(text) == digest(as_json_dumps({name: r.to_dict() for name, r in pair.items()}))
 
     monkeypatch.setattr(selftest_mod, "CRITERIA", selftest_mod.CRITERIA[1:])
     assert selftest_mod.selftest("json") == 0
     out = capsys.readouterr().out
     assert [row["id"] for row in json.loads(out)] == [f"c{i:02d}" for i in range(2, 14)]
     assert digest(out) == digest(as_json_dumps(json.loads(out)) + "\n")
+
+
+def test_report_written_from_hand_built_columns():
+    """Columns with nan, +-inf and -0.0, and root tables holding every type
+    and entry kind, some with non-finite or negative-zero values: to_json
+    and the cp-pair writer give the bytes json.dumps writes of the records
+    the columns make."""
+    from nullplane.lab.report import Report, dumps_reports
+    from nullplane.weylalg import RootTable
+
+    nan, inf = math.nan, math.inf
+    real, pair, at_inf = 2, 0, 1  # indices into weylalg.ROOT_KINDS
+    rows = [  # (type code, [(kind, value, multiplicity), ...])
+        (0, []),
+        (4, [(real, nan, 4)]),
+        (31, [(at_inf, 0j, 1), (real, -0.0, 3)]),
+        (22, [(pair, 1 + 2j, 2)]),
+        (211, [(real, 0.5, 2), (real, inf, 1), (real, -inf, 1)]),
+        (1111, [(pair, complex(-0.0, 1.0), 1), (real, 2.0, 1), (real, -1e-300, 1)]),
+        (1111, [(pair, 0.25 + 1e300j, 1), (pair, complex(nan, 3.0), 1)]),
+        (211, [(at_inf, 0j, 2), (real, 1.0, 1), (real, 5e-324, 1)]),
+    ]
+    table = RootTable(
+        np.array([code for code, _ in rows]),
+        np.array([[e[0] for e in entries] + [-1] * (4 - len(entries)) for _, entries in rows]),
+        np.array([[e[1] for e in entries] + [0j] * (4 - len(entries)) for _, entries in rows]),
+        np.array([[e[2] for e in entries] + [0] * (4 - len(entries)) for _, entries in rows]),
+    )
+    count = len(rows)
+    specials = [nan, inf, -inf, -0.0, 0.0, 1e-300, 123456.789, -2.5]
+
+    def column(shift):
+        return [specials[(p + shift) % len(specials)] for p in range(count)]
+
+    columns = {
+        "point": [[column(0)[p], column(1)[p], 0.5, -0.0] for p in range(count)],
+        "scalar": column(2),
+        "einstein": column(3),
+        "ricci_null": column(4),
+        "rps_disc": column(5),
+        "SD_coeffs": [[column(k)[p] for k in range(5)] for p in range(count)],
+        "ASD_coeffs": [[1.0, 2.0, 3.0, 4.0, 5.0]] * count,  # all finite
+        "SD_roots": table,
+        "ASD_roots": table[::-1],
+        "obstruction": column(6),
+        "box_chi_generic": column(7),
+        "box_chi_closed": [0.1] * count,
+    }
+    for i, name in enumerate("DZWH"):
+        for j, kind in enumerate(("frobenius", "autoparallel", "parallel")):
+            columns[name, kind] = column(3 * i + j)
+    report = Report({"points": count, "seed": 0, "source": "hand"}, None, columns, {"SD": None}, "no", "hand-built")
+    assert [rec["quartic_sd"]["roots"]["type"] for rec in report.point_records] == [
+        "O", "{4}", "{31}", "{22}", "{211}", "{1111}", "{1111}", "{211}"
+    ]
+    assert report.point_records[2]["quartic_sd"]["roots"]["roots"] == [
+        {"kind": "inf", "value": None, "multiplicity": 1},
+        {"kind": "real", "value": -0.0, "multiplicity": 3},
+    ]
+    assert report.to_json(with_timestamp=False) == json.dumps(report.to_dict(with_timestamp=False), sort_keys=True, indent=2)
+    text = dumps_reports({"a": report, "b": report})
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
+    assert json.dumps(json.loads(text)["b"]["points"], sort_keys=True) == json.dumps(report.point_records, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

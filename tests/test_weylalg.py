@@ -14,6 +14,7 @@ from nullplane.lab import load_spec_file
 from nullplane.tensor import MetricSpec, conformal_rescale, curvature, metric_jet, volume_and_duals, weyl_split
 from nullplane.weylalg import (
     _REF_FLOOR,
+    ROOT_KINDS,
     QuarticForm,
     RootEntry,
     RootList,
@@ -386,12 +387,29 @@ def _seeded_quartics(seed: int, count: int) -> list:
 
 
 def test_root_structure_batch_matches_per_point_reference():
+    """The table's arrays and the RootLists it gives on access both equal
+    the per-point reference."""
     forms = _seeded_quartics(7, 6000)
     got = root_structure(_batch(forms))
     want = [_reference_root_structure(f) for f in forms]
     assert len(got) == len(want)
     mismatches = [i for i, (a, b) in enumerate(zip(got, want)) if a != b or repr(a) != repr(b)]
     assert mismatches == []
+
+    def padded(rl, field, fill):
+        return [field(e) for e in rl.entries] + [fill] * (4 - len(rl.entries))
+
+    expected = {
+        "type_code": [0 if rl.type_string == "O" else int(rl.type_string[1:-1]) for rl in want],
+        "kind": [padded(rl, lambda e: ROOT_KINDS.index(e.kind), -1) for rl in want],
+        "value": [padded(rl, lambda e: 0j if e.value is None else e.value, 0j) for rl in want],
+        "multiplicity": [padded(rl, lambda e: e.multiplicity, 0) for rl in want],
+    }
+    for name, want_array in expected.items():
+        array = getattr(got, name)
+        assert array.dtype.kind == ("c" if name == "value" else "i"), name
+        rows = np.flatnonzero(np.any(np.reshape(array != np.array(want_array), (len(want), -1)), axis=1))
+        assert rows.tolist() == [], name
     assert {rl.type_string for rl in want} == {"O", "{1111}", "{211}", "{22}", "{31}", "{4}"}
     assert root_structure(_batch([])) == []
 
