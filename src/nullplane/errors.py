@@ -51,10 +51,6 @@ class RankDeficient(NullplaneError):
     """Distribution generators do not have full rank at a sampled point."""
 
 
-class DegenerateRoot(NullplaneError):
-    """Root multiplicity structure is unstable at the evaluation point."""
-
-
 class ConstraintViolated(NullplaneError):
     """Family builder constraint failed its symbolic check."""
 

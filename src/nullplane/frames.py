@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateParam, KindError, RankDeficient
 from .exprkit.ast import Expr, Num, as_expr
 from .exprkit.calculus import add_, div_, mul_, neg_
-from .exprkit.jets import as_points, deriv_coeffs, mul_coeffs, truncate_coeffs, _eval_coeffs
+from .exprkit.jets import as_points, deriv_coeffs, _eval_coeffs
 from .tensor.curvature import christoffel
 from .tensor.metric import CONFORMAL_WALKER, WALKER, MetricJet, MetricSpec, metric_jet
 
@@ -88,19 +88,19 @@ class Distribution:
         return len(self.generators)
 
 
-def _wedge_jets(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    w = mul_coeffs(a[:, None], b[None, :], order, order, order)
+def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    w = a[:, None] * b[None, :]
     return w - np.swapaxes(w, 0, 1)
 
 
-def _bivector_bases(vecs: dict, order: int) -> dict:
-    """Bases of the plane bivectors at ``order`` (see weylalg): self-dual
+def _bivector_bases(vecs: dict) -> dict:
+    """Bases of the plane bivectors (see weylalg), values (4, 4, P): self-dual
     (l^mt, l^n + m^mt, m^n) and anti-self-dual (l^m, l^n - m^mt, mt^n)."""
-    ln = _wedge_jets(vecs["l"], vecs["n"], order)
-    mmt = _wedge_jets(vecs["m"], vecs["mt"], order)
+    ln = _wedge(vecs["l"], vecs["n"])
+    mmt = _wedge(vecs["m"], vecs["mt"])
     return {
-        "SD": (_wedge_jets(vecs["l"], vecs["mt"], order), ln + mmt, _wedge_jets(vecs["m"], vecs["n"], order)),
-        "ASD": (_wedge_jets(vecs["l"], vecs["m"], order), ln - mmt, _wedge_jets(vecs["mt"], vecs["n"], order)),
+        "SD": (_wedge(vecs["l"], vecs["mt"]), ln + mmt, _wedge(vecs["m"], vecs["n"])),
+        "ASD": (_wedge(vecs["l"], vecs["m"]), ln - mmt, _wedge(vecs["mt"], vecs["n"])),
     }
 
 
@@ -109,35 +109,32 @@ class Frame:
     """A tetrad, and optionally a t-field, at a batch of points, with each
     component expression evaluated once for every consumer.
 
-    ``jets`` maps id(component) to its jet (M, P) at order
-    max(1, basis_order); the generators read their first partials from it
-    as known nodes of their expression trees.  Holding the tetrad and the
-    t-field keeps those ids valid.  ``vecs`` holds the four tetrad vectors
-    (4, M, P), ``bases`` the SD and ASD bivector bases at ``basis_order``,
-    the jet order of the curvature they are paired with.
+    ``jets`` maps id(component) to its first-order jet (5, P); the
+    generators read their first partials from it as known nodes of their
+    expression trees.  Holding the tetrad and the t-field keeps those ids
+    valid.  ``vecs`` holds the four tetrad vectors (4, 5, P), ``bases`` the
+    values of the SD and ASD bivector bases.
     """
 
     tetrad: Tetrad
     t_field: Optional[ProjParam]
     points: np.ndarray
-    basis_order: int
     jets: dict
     vecs: dict
     bases: dict
 
     @staticmethod
-    def of(tet: Tetrad, pts: np.ndarray, t_field: Optional[ProjParam] = None, basis_order: int = 0) -> "Frame":
-        order = max(1, basis_order)
+    def of(tet: Tetrad, pts: np.ndarray, t_field: Optional[ProjParam] = None) -> "Frame":
         comps = [comp for vec in tet.vectors().values() for comp in vec]
         if t_field is not None:
             comps += [t_field.t0, t_field.t1]
         jets: dict = {}
         for comp in comps:
             if id(comp) not in jets:
-                jets[id(comp)] = _eval_coeffs(comp, pts, order)
+                jets[id(comp)] = _eval_coeffs(comp, pts, 1)
         vecs = {name: np.stack([jets[id(comp)] for comp in vec]) for name, vec in tet.vectors().items()}
-        truncated = {name: truncate_coeffs(vec, order, basis_order) for name, vec in vecs.items()}
-        return Frame(tet, t_field, pts, basis_order, jets, vecs, _bivector_bases(truncated, basis_order))
+        bases = _bivector_bases({name: vec[:, 0, :] for name, vec in vecs.items()})
+        return Frame(tet, t_field, pts, jets, vecs, bases)
 
     def values(self, name: str) -> np.ndarray:
         """Values (4, P) of the tetrad vector ``name``."""
@@ -149,9 +146,9 @@ class Frame:
         return _t_values(t0, t1, self.points)
 
 
-def _as_frame(tet, pts: np.ndarray, basis_order: int = 0) -> Frame:
+def _as_frame(tet, pts: np.ndarray) -> Frame:
     """tet itself if it is a Frame, else a new Frame of the Tetrad at the points."""
-    return tet if isinstance(tet, Frame) else Frame.of(tet, pts, basis_order=basis_order)
+    return tet if isinstance(tet, Frame) else Frame.of(tet, pts)
 
 
 def walker_tetrad(spec: MetricSpec) -> Tetrad:
@@ -219,7 +216,7 @@ def metric_pairings(spec: MetricSpec, vectors: Sequence, p) -> np.ndarray:
     """Gram matrix g(X_i, X_j) of expression vector fields at the point(s)."""
     pts, single = as_points(p)
     vals = np.stack([[_eval_coeffs(comp, pts, 0)[0] for comp in vec] for vec in vectors])
-    gram = _gram(metric_jet(spec, pts, order=0).g_val, vals)
+    gram = _gram(metric_jet(spec, pts).g_val, vals)
     return gram[..., 0] if single else gram
 
 
@@ -237,11 +234,6 @@ def _tetrad_defects(mj: MetricJet, tet) -> np.ndarray:
 def tetrad_max_defect(mj: MetricJet, tet) -> float:
     """Max deviation of the ten tetrad pairings from their target values."""
     return float(np.max(_tetrad_defects(mj, tet)))
-
-
-def totally_null_defect(spec: MetricSpec, dist: Distribution, p) -> float:
-    gram = metric_pairings(spec, dist.generators, p)
-    return float(np.max(np.abs(gram)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +254,8 @@ def _generators(dist: Distribution, pts: np.ndarray, frame: Optional[Frame] = No
     """One evaluation of the generators at order 1, shared by all residuals:
     values (k,4,P), first partials (k, comp, deriv, P), Euclidean norms
     (k,P), and the projector (P,4,4) onto the Euclidean complement of the
-    span, after a rank check.  With a frame (basis order 0 or 1) of the
-    tetrad and t-field the distribution was built from, their component
-    nodes are read from it."""
+    span, after a rank check.  With a frame of the tetrad and t-field the
+    distribution was built from, their component nodes are read from it."""
     known = None if frame is None else frame.jets
     jets = np.stack([[_eval_coeffs(comp, pts, 1, known) for comp in vec] for vec in dist.generators])
     vals = jets[..., 0, :]
@@ -341,7 +332,7 @@ def frobenius_residual(dist: Distribution, p) -> float:
 def autoparallel_residual(spec: MetricSpec, dist: Distribution, p) -> float:
     """0 iff covariant derivatives along the span stay in the span at p."""
     pts, single = as_points(p)
-    gamma = christoffel(metric_jet(spec, pts, order=2)).gamma[..., 0, :]
+    gamma = christoffel(metric_jet(spec, pts)).gamma[..., 0, :]
     out = _autoparallel_batch(_generators(dist, pts), gamma)
     return float(out[0]) if single else out
 
@@ -350,6 +341,6 @@ def parallel_residual(spec: MetricSpec, dist: Distribution, p) -> float:
     """0 iff covariant derivatives in every coordinate direction stay in
     the span at p."""
     pts, single = as_points(p)
-    gamma = christoffel(metric_jet(spec, pts, order=2)).gamma[..., 0, :]
+    gamma = christoffel(metric_jet(spec, pts)).gamma[..., 0, :]
     out = _parallel_batch(_generators(dist, pts), gamma)
     return float(out[0]) if single else out

@@ -110,8 +110,7 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0) 
     first axis is the point.  The residuals are keyed (distribution, kind).
     offset is the global sample index of pts[0], which errors name."""
     spec = cfg.spec
-    # curvature needs second partials only
-    mj = _attribute_point(lambda p: metric_jet(spec, p, 2), pts, offset, "metric")
+    mj = _attribute_point(lambda p: metric_jet(spec, p), pts, offset, "metric")
     pack = curvature(mj)
 
     out: dict = {
@@ -178,7 +177,7 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0) 
             wasd_coeffs = out["ASD_coeffs"]
         else:
             wp = spec.walker_part()
-            wpack = curvature(_attribute_point(lambda p: metric_jet(wp, p, 2), pts, offset, "walker_part"))
+            wpack = curvature(_attribute_point(lambda p: metric_jet(wp, p), pts, offset, "walker_part"))
             wasd_coeffs = weyl_quartic(wpack, walker_tetrad(wp))["ASD"].coeffs
             # the box of chi reads the walker part's connection from its pack
             out["box_chi_generic"] = _attribute_point(

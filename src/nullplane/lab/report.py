@@ -311,14 +311,14 @@ class Report:
         for key in sorted(self.flags):
             lines.append(f"    {key:<{width}}  {self.flags[key]}")
         lines.append(f"  verdict: {self.verdict}   ({self.verdict_reason})")
-        if self.point_records:
-            rec = self.point_records[0]
+        cols = self.columns
+        if cols["point"]:  # read from the columns: point_records would build every record
             lines.append("  first sampled point:")
-            lines.append(f"    point: {rec['point']}")
-            lines.append(f"    scalar_curvature: {rec['scalar_curvature']:.6g}")
-            if rec.get("quartic_sd"):
-                lines.append(f"    SD quartic type: {rec['quartic_sd']['roots']['type']}")
-                lines.append(f"    ASD quartic type: {rec['quartic_asd']['roots']['type']}")
+            lines.append(f"    point: {cols['point'][0]}")
+            lines.append(f"    scalar_curvature: {cols['scalar'][0]:.6g}")
+            if "SD_roots" in cols:
+                lines.append(f"    SD quartic type: {root_type_string(int(cols['SD_roots'].type_code[0]))}")
+                lines.append(f"    ASD quartic type: {root_type_string(int(cols['ASD_roots'].type_code[0]))}")
         return "\n".join(lines)
 
 

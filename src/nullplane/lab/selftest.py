@@ -141,7 +141,7 @@ def criterion_01() -> CriterionResult:
 def criterion_02() -> CriterionResult:
     worst = 0.0
     for spec, pts in _walker_corpus():
-        pack = curvature(metric_jet(spec, pts, 3))
+        pack = curvature(metric_jet(spec, pts))
         formula = (
             eval_scalar(diff_expr(diff_expr(spec.a, "u"), "u"), pts)
             + eval_scalar(diff_expr(diff_expr(spec.b, "v"), "v"), pts)
@@ -165,7 +165,7 @@ def criterion_03() -> CriterionResult:
     worst_par, worst_c01, worst_disc = 0.0, 0.0, -np.inf
     for spec, pts in _walker_corpus():
         tet = walker_tetrad(spec)
-        pack = curvature(metric_jet(spec, pts, 3))
+        pack = curvature(metric_jet(spec, pts))
         zdist = alpha_dist(ProjParam.of(1, 0), tet)
         worst_par = max(worst_par, float(np.max(parallel_residual(spec, zdist, pts))))
         sd = weyl_quartic(pack, tet)["SD"]
@@ -195,7 +195,7 @@ def criterion_04() -> CriterionResult:
         tet = walker_tetrad(spec)
         wdist = beta_dist(t01, tet)
         checks.append(("W frob (a_v=0)", np.max(frobenius_residual(wdist, pts)), "zero"))
-        asd = weyl_quartic(curvature(metric_jet(spec, pts, 3)), tet)["ASD"]
+        asd = weyl_quartic(curvature(metric_jet(spec, pts)), tet)["ASD"]
         checks.append(("c4 (a_v=0)", _rel(np.abs(asd.coeffs[:, 4]), asd.scale), "zero"))
 
         c_u = random_polys(4400 + i, 2, ("u", "x", "y"), 1)[0]
@@ -205,7 +205,7 @@ def criterion_04() -> CriterionResult:
         ddist2 = dist_D(t01, tet2)
         checks.append(("W par (two-sided)", np.max(parallel_residual(spec2, wdist2, pts)), "zero"))
         checks.append(("D par (two-sided)", np.max(parallel_residual(spec2, ddist2, pts)), "zero"))
-        asd2 = weyl_quartic(curvature(metric_jet(spec2, pts, 3)), tet2)["ASD"]
+        asd2 = weyl_quartic(curvature(metric_jet(spec2, pts)), tet2)["ASD"]
         checks.append(("c3,c4 (two-sided)", _rel(np.max(np.abs(asd2.coeffs[:, 3:]), axis=1), asd2.scale), "zero"))
 
         # mutations: a += v breaks integrability, c += v breaks parallelism
@@ -214,12 +214,12 @@ def criterion_04() -> CriterionResult:
         mut_a = MetricSpec.walker(add_(a_u, _V), b_any, c_any)
         checks.append(("W frob (a+=v)", np.max(frobenius_residual(beta_dist(t01, walker_tetrad(mut_a)), pts)), "nonzero"))
         mut_a2 = MetricSpec.walker(add_(a_u, _V**2), b_any, c_any)
-        asd_m = weyl_quartic(curvature(metric_jet(mut_a2, pts, 3)), walker_tetrad(mut_a2))["ASD"]
+        asd_m = weyl_quartic(curvature(metric_jet(mut_a2, pts)), walker_tetrad(mut_a2))["ASD"]
         checks.append(("c4 (a+=v^2)", _rel(np.abs(asd_m.coeffs[:, 4]), asd_m.scale), "nonzero"))
         mut_c = MetricSpec.walker(a_u, b_any, add_(c_u, _V))
         checks.append(("W par (c+=v)", np.max(parallel_residual(mut_c, beta_dist(t01, walker_tetrad(mut_c)), pts)), "nonzero"))
         mut_c2 = MetricSpec.walker(a_u, b_any, add_(c_u, _V**2))
-        asd_mc = weyl_quartic(curvature(metric_jet(mut_c2, pts, 3)), walker_tetrad(mut_c2))["ASD"]
+        asd_mc = weyl_quartic(curvature(metric_jet(mut_c2, pts)), walker_tetrad(mut_c2))["ASD"]
         checks.append(("c3 (c+=v^2)", _rel(np.abs(asd_mc.coeffs[:, 3]), asd_mc.scale), "nonzero"))
 
     bad = [
@@ -265,7 +265,7 @@ def criterion_05() -> CriterionResult:
 
 def _obstruction_rel(spec: MetricSpec, pts: np.ndarray) -> float:
     obs = obstruction_residual(spec, pts)
-    pack = curvature(metric_jet(spec, pts, 2))
+    pack = curvature(metric_jet(spec, pts))
     scale = np.maximum(np.abs(pack.scalar_val) / 12.0, 1e-2 * pack.riemann_scale())
     return float(np.max(np.abs(obs) / np.maximum(scale, 1e-30)))
 
@@ -299,13 +299,13 @@ def criterion_07() -> CriterionResult:
     for i in range(N_INSTANCES):
         pts = _points(7100 + i)
         inst = mk_sd2015(*random_polys(7200 + i, 2, ("x", "y"), 15))
-        pack = curvature(metric_jet(inst.spec, pts, 3))
+        pack = curvature(metric_jet(inst.spec, pts))
         tet = walker_tetrad(inst.spec)
         sd, asd = weyl_quartic(pack, tet).values()
         worst_asd = max(worst_asd, _rel(asd.scale, np.maximum(sd.scale, asd.ref_scale)))
 
         inst2 = mk_sd_two_sided(*random_polys(7300 + i, 2, ("x", "y"), 9))
-        pack2 = curvature(metric_jet(inst2.spec, pts, 3))
+        pack2 = curvature(metric_jet(inst2.spec, pts))
         tet2 = walker_tetrad(inst2.spec)
         sd2, asd2 = weyl_quartic(pack2, tet2).values()
         worst_asd = max(worst_asd, _rel(asd2.scale, np.maximum(sd2.scale, asd2.ref_scale)))
@@ -338,7 +338,7 @@ def criterion_08() -> CriterionResult:
         F = add_(mul_(mul_(Num(0.5), h_xy), _U**2), mul_(f1, _U))
         G = add_(mul_(mul_(Num(0.5), h_xy), _V**2), mul_(g1, _V))
         inst = mk_ricci_null(theta, F, G)
-        pack = curvature(metric_jet(inst.spec, pts, 3))
+        pack = curvature(metric_jet(inst.spec, pts))
         tet = walker_tetrad(inst.spec)
         zdist = alpha_dist(ProjParam.of(1, 0), tet)
         worst_ez = max(worst_ez, float(np.max(ricci_null_residual(pack, zdist))))
@@ -369,7 +369,7 @@ def criterion_09() -> CriterionResult:
         coeffs = random_polys(9200 + i, 2, ("x", "y"), 5)
         coeffs = [mul_(Num(0.5), e) for e in coeffs]  # keep exp(X/2) moderate
         inst = mk_left_flat(*coeffs)
-        pack = curvature(metric_jet(inst.spec, pts, 3))
+        pack = curvature(metric_jet(inst.spec, pts))
         worst_ric = max(
             worst_ric,
             float(np.max(np.max(np.abs(pack.ricci_val), axis=(1, 2)) / np.maximum(pack.riemann_scale(), 1e-30))),
@@ -399,7 +399,7 @@ def criterion_10() -> CriterionResult:
     pts = _points(10_100)
     problems = []
 
-    pack_g = curvature(metric_jet(g_inst.spec, pts, 3))
+    pack_g = curvature(metric_jet(g_inst.spec, pts))
     riem = np.maximum(pack_g.riemann_scale(), 1e-30)
     if float(np.max(np.abs(pack_g.scalar_val) / riem)) >= TOL_ZERO:
         problems.append("S(g) != 0")
@@ -426,7 +426,7 @@ def criterion_10() -> CriterionResult:
     if float(np.min(frobenius_residual(hdist, pts))) <= TOL_NONZERO:
         problems.append("H unexpectedly integrable")
 
-    pack_h = curvature(metric_jet(h_inst.spec, pts, 3))
+    pack_h = curvature(metric_jet(h_inst.spec, pts))
     riem_h = np.maximum(pack_h.riemann_scale(), 1e-30)
     if float(np.max(einstein_residual(pack_h))) >= TOL_ZERO:
         problems.append("h not Einstein")
@@ -488,8 +488,8 @@ def criterion_11() -> CriterionResult:
         chi = Call("exp", mul_(Num(0.3), chi_exp))
         rescaled = conformal_rescale(spec, chi)
 
-        pack = curvature(metric_jet(spec, pts, 3))
-        pack_r = curvature(metric_jet(rescaled, pts, 3))
+        pack = curvature(metric_jet(spec, pts))
+        pack_r = curvature(metric_jet(rescaled, pts))
         chi_v = eval_scalar(chi, pts)
         predicted = chi_v**-2.0 * (pack.scalar_val - 6.0 * np.asarray(box_scalar(spec, chi, pts)) / chi_v)
         scale = np.maximum(np.abs(predicted), pack_r.riemann_scale())
@@ -558,7 +558,7 @@ def criterion_12() -> CriterionResult:
 def criterion_13() -> CriterionResult:
     def form(coeffs):
         c = np.asarray(coeffs, dtype=float)
-        return QuarticForm("ASD", c, None, 10.0)
+        return QuarticForm("ASD", c, 10.0)
 
     cases = []
     # (t-1)^2 (t-2) (t+3) = t^4 - t^3 - 7 t^2 + 13 t - 6

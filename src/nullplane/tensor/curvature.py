@@ -9,44 +9,33 @@ Conventions (verified against the Walker closed form S = a_uu + b_vv + 2 c_uv):
     Weyl       = Riemann - (1/2) Kulkarni-Nomizu(g, Ricci)
                  + (S/6) (g_ac g_bd - g_ad g_bc)
 
-All curvature tensors are carried as jets, so first coordinate partials of
-the Weyl tensor are available whenever the metric jet order allows.
+The connection is the last jet: first-order jets of Gamma, from the
+second-order metric jet.  The curvature tensors are values at the points,
+with the point axis last, built from the values of Gamma, its first
+partials and g.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..exprkit.ast import Expr, as_expr
-from ..exprkit.jets import (
-    as_points,
-    deriv_coeffs,
-    mul_coeffs,
-    truncate_coeffs,
-    _eval_coeffs,
-)
+from ..exprkit.jets import as_points, deriv_coeffs, mul_coeffs, _eval_coeffs
 from .metric import MetricJet, MetricSpec, metric_jet
-
-
-def _vals(jets: np.ndarray) -> np.ndarray:
-    """Value slice of stacked jets: (..., M, P) -> (P, ...)."""
-    return np.moveaxis(jets[..., 0, :], -1, 0)
 
 
 @dataclass
 class CurvaturePack:
     mj: MetricJet
-    gamma: np.ndarray  # (4,4,4,Mg,P) jets, order mj.order-1
-    gamma_order: int
-    riemann: Optional[np.ndarray] = None  # all indices down, (4,4,4,4,Mr,P)
-    ricci: Optional[np.ndarray] = None
-    scalar: Optional[np.ndarray] = None  # (Mr,P)
-    efield: Optional[np.ndarray] = None  # trace-free Ricci
-    weyl: Optional[np.ndarray] = None
-    order: int = 0  # jet order of the curvature tensors
+    gamma: np.ndarray  # (4,4,4,5,P) first-order jets of Gamma^a_bc
+    riemann: Optional[np.ndarray] = None  # all indices down, (4,4,4,4,P)
+    ricci: Optional[np.ndarray] = None  # (4,4,P)
+    scalar: Optional[np.ndarray] = None  # (P,)
+    efield: Optional[np.ndarray] = None  # trace-free Ricci, (4,4,P)
+    weyl: Optional[np.ndarray] = None  # (4,4,4,4,P)
 
     @property
     def points(self) -> np.ndarray:
@@ -54,27 +43,27 @@ class CurvaturePack:
 
     @property
     def gamma_val(self) -> np.ndarray:  # (P,4,4,4)
-        return _vals(self.gamma)
+        return np.moveaxis(self.gamma[..., 0, :], -1, 0)
 
     @property
     def riemann_val(self) -> np.ndarray:
-        return _vals(self.riemann)
+        return np.moveaxis(self.riemann, -1, 0)
 
     @property
     def ricci_val(self) -> np.ndarray:
-        return _vals(self.ricci)
+        return np.moveaxis(self.ricci, -1, 0)
 
     @property
     def scalar_val(self) -> np.ndarray:  # (P,)
-        return self.scalar[0]
+        return self.scalar
 
     @property
     def efield_val(self) -> np.ndarray:
-        return _vals(self.efield)
+        return np.moveaxis(self.efield, -1, 0)
 
     @property
     def weyl_val(self) -> np.ndarray:
-        return _vals(self.weyl)
+        return np.moveaxis(self.weyl, -1, 0)
 
     def riemann_scale(self) -> np.ndarray:
         """Per-point max |R_abcd|: the natural relative-error scale."""
@@ -82,65 +71,56 @@ class CurvaturePack:
 
 
 def christoffel(mj: MetricJet) -> CurvaturePack:
-    """Levi-Civita connection as jets of order mj.order - 1."""
-    if mj.order < 2:
-        raise ValueError("christoffel needs metric jets of order >= 2")
-    og = mj.order - 1
-    dg = deriv_coeffs(mj.g, mj.order)  # (4,4,4,Mg,P), dg[i,j,k] = d_k g_ij
+    """Levi-Civita connection as first-order jets."""
+    dg = deriv_coeffs(mj.g, 2)  # (4,4,4,5,P), dg[i,j,k] = d_k g_ij
     # sums[d,b,c] = d_b g_dc + d_c g_db - d_d g_bc
     sums = dg.transpose(0, 2, 1, 3, 4) + dg - dg.transpose(2, 0, 1, 3, 4)
     gamma = np.zeros_like(sums)
     for d in range(4):
-        gamma = gamma + mul_coeffs(mj.g_inv[:, d][:, None, None], sums[d][None], og, og, og)
+        gamma = gamma + mul_coeffs(mj.g_inv[:, d][:, None, None], sums[d][None], 1, 1, 1)
     gamma = 0.5 * gamma
-    return CurvaturePack(mj=mj, gamma=gamma, gamma_order=og)
+    return CurvaturePack(mj=mj, gamma=gamma)
 
 
 def curvature(mj: MetricJet) -> CurvaturePack:
     """Full curvature pack (Riemann, Ricci, scalar, trace-free Ricci, Weyl)."""
     pack = christoffel(mj)
-    og = pack.gamma_order
-    orc = og - 1
-    if orc < 0:
-        raise ValueError("curvature needs metric jets of order >= 2")
-
-    dgam = deriv_coeffs(pack.gamma, og)  # axes (a, d, b, c) with c the deriv
-    t1 = dgam.transpose(0, 2, 3, 1, 4, 5)  # [a,b,c,d] = dgam[a,d,b,c]
-    t2 = dgam.transpose(0, 2, 1, 3, 4, 5)  # [a,b,c,d] = dgam[a,c,b,d]
-    gt = truncate_coeffs(pack.gamma, og, orc)
+    dgam = deriv_coeffs(pack.gamma, 1)[..., 0, :]  # axes (a, d, b, c) with c the deriv
+    t1 = dgam.transpose(0, 2, 3, 1, 4)  # [a,b,c,d] = dgam[a,d,b,c]
+    t2 = dgam.transpose(0, 2, 1, 3, 4)  # [a,b,c,d] = dgam[a,c,b,d]
+    gt = pack.gamma[..., 0, :]
     gg1 = np.zeros_like(t1)
     gg2 = np.zeros_like(t1)
     for e in range(4):
         a_ce = gt[:, :, e][:, None, :, None]  # (a,1,c,1)
-        b_db = gt[e].transpose(1, 0, 2, 3)[None, :, None, :]  # (1,b,1,d)
-        gg1 = gg1 + mul_coeffs(a_ce, b_db, orc, orc, orc)
+        b_db = gt[e].transpose(1, 0, 2)[None, :, None, :]  # (1,b,1,d)
+        gg1 = gg1 + a_ce * b_db
         a_de = gt[:, :, e][:, None, None, :]  # (a,1,1,d)
-        b_cb = gt[e].transpose(1, 0, 2, 3)[None, :, :, None]  # (1,b,c,1)
-        gg2 = gg2 + mul_coeffs(a_de, b_cb, orc, orc, orc)
+        b_cb = gt[e].transpose(1, 0, 2)[None, :, :, None]  # (1,b,c,1)
+        gg2 = gg2 + a_de * b_cb
     r_up = t1 - t2 + gg1 - gg2
 
-    g = truncate_coeffs(mj.g, mj.order, orc)
-    ginv = truncate_coeffs(mj.g_inv, og, orc)
+    g = mj.g[:, :, 0, :]
+    ginv = mj.g_inv[:, :, 0, :]
     riem = np.zeros_like(r_up)
     for e in range(4):
-        riem = riem + mul_coeffs(g[:, e][:, None, None, None], r_up[e][None], orc, orc, orc)
+        riem = riem + g[:, e][:, None, None, None] * r_up[e][None]
 
-    ricci = np.einsum("abadmp->bdmp", r_up)
-    scalar = mul_coeffs(ginv, ricci, orc, orc, orc).sum(axis=(0, 1))
-    efield = ricci - 0.25 * mul_coeffs(scalar[None, None], g, orc, orc, orc)
+    ricci = np.einsum("abadp->bdp", r_up)
+    scalar = (ginv * ricci).sum(axis=(0, 1))
+    efield = ricci - 0.25 * (scalar[None, None] * g)
 
-    p1 = mul_coeffs(g[:, None, :, None], ricci[None, :, None, :], orc, orc, orc)  # g_ac R_bd
-    q1 = mul_coeffs(g[:, None, :, None], g[None, :, None, :], orc, orc, orc)  # g_ac g_bd
-    kn = p1 - p1.transpose(0, 1, 3, 2, 4, 5) - p1.transpose(1, 0, 2, 3, 4, 5) + p1.transpose(1, 0, 3, 2, 4, 5)
-    gg = q1 - q1.transpose(0, 1, 3, 2, 4, 5)
-    weyl = riem - 0.5 * kn + mul_coeffs(scalar[None, None, None, None] / 6.0, gg, orc, orc, orc)
+    p1 = g[:, None, :, None] * ricci[None, :, None, :]  # g_ac R_bd
+    q1 = g[:, None, :, None] * g[None, :, None, :]  # g_ac g_bd
+    kn = p1 - p1.transpose(0, 1, 3, 2, 4) - p1.transpose(1, 0, 2, 3, 4) + p1.transpose(1, 0, 3, 2, 4)
+    gg = q1 - q1.transpose(0, 1, 3, 2, 4)
+    weyl = riem - 0.5 * kn + (scalar[None, None, None, None] / 6.0) * gg
 
     pack.riemann = riem
     pack.ricci = ricci
     pack.scalar = scalar
     pack.efield = efield
     pack.weyl = weyl
-    pack.order = orc
     return pack
 
 
@@ -154,7 +134,7 @@ def covariant_derivative(spec: MetricSpec, field, direction, p) -> np.ndarray:
     ``field`` is four Exprs; ``direction`` is four Exprs or a numeric
     4-vector (constant direction).  Returns shape (4,) or (4, P).
     """
-    pack = christoffel(metric_jet(spec, p, order=2))
+    pack = christoffel(metric_jet(spec, p))
     pts = pack.points
     npts = pts.shape[0]
     yj = np.stack([_eval_coeffs(as_expr(comp), pts, 1) for comp in field])  # (4, M1, P)
@@ -181,7 +161,7 @@ def box_scalar(metric: MetricSpec | CurvaturePack, chi, p=None) -> float | np.nd
     connection (any metric kind).  metric is a MetricSpec, evaluated at the
     point(s) p, or a CurvaturePack, whose connection and points are used."""
     chi = as_expr(chi)
-    pack = metric if isinstance(metric, CurvaturePack) else christoffel(metric_jet(metric, p, order=2))
+    pack = metric if isinstance(metric, CurvaturePack) else christoffel(metric_jet(metric, p))
     mj = pack.mj
     cj = _eval_coeffs(chi, mj.points, 2)
     hess = deriv_coeffs(deriv_coeffs(cj, 2), 1)[..., 0, :]  # (4,4,P): d_a d_b chi

@@ -77,7 +77,7 @@ def volume_and_duals(mj, tetrad) -> DualOperator:
     dual = DualOperator(sign=1.0, eps_mixed=eps_mixed)
 
     frame = _as_frame(tetrad, mj.points)
-    biv = np.moveaxis(frame.bases["SD"][0][..., 0, :], -1, 0)  # values of l ^ mt, (P, 4, 4)
+    biv = np.moveaxis(frame.bases["SD"][0], -1, 0)  # values of l ^ mt, (P, 4, 4)
     starred = dual.star_bivector(biv)
     norm = np.max(np.abs(biv), axis=(1, 2))
     if np.any(norm <= 0.0):

@@ -129,17 +129,16 @@ def det_and_adjugate(g: np.ndarray, order: int):
 
 @dataclass
 class MetricJet:
-    """Metric values and raw partials (to ``order``) at a point batch; the
-    inverse and the determinant stop one order lower, at max(order - 1, 0),
-    since that is all the connection and the curvature read."""
+    """Metric values and raw partials to second order at a point batch; the
+    inverse and the determinant stop at first order, since that is all the
+    connection and the curvature read."""
 
     spec: MetricSpec
     points: np.ndarray  # (P, 4)
     single: bool
-    order: int
-    g: np.ndarray  # (4, 4, M, P), M = n_coeffs(order)
-    g_inv: np.ndarray  # (4, 4, Mi, P), Mi = n_coeffs(max(order - 1, 0))
-    det: np.ndarray  # (Mi, P)
+    g: np.ndarray  # (4, 4, 15, P), the partials to order 2
+    g_inv: np.ndarray  # (4, 4, 5, P), the partials to order 1
+    det: np.ndarray  # (5, P)
 
     @property
     def npoints(self) -> int:
@@ -154,12 +153,13 @@ class MetricJet:
         return np.moveaxis(self.g_inv[:, :, 0, :], -1, 0)
 
 
-def metric_jet(spec: MetricSpec, p, order: int = 3) -> MetricJet:
-    """Evaluate the metric and its partials to ``order`` at the point(s), and
-    its inverse and determinant to max(order - 1, 0)."""
+def metric_jet(spec: MetricSpec, p) -> MetricJet:
+    """Evaluate the metric and its partials to second order at the point(s),
+    and its inverse and determinant to first order."""
     pts, single = as_points(p)
     check_finite_points(pts)
     npts = pts.shape[0]
+    order = 2
     M = n_coeffs(order)
 
     g = np.zeros((4, 4, M, npts))
@@ -194,12 +194,11 @@ def metric_jet(spec: MetricSpec, p, order: int = 3) -> MetricJet:
 
     # curvature reads g^-1 to one order below g; lower Leibniz coefficients
     # do not depend on the order they are truncated at
-    oi = max(order - 1, 0)
-    det, adj = det_and_adjugate(truncate_coeffs(g, order, oi), oi)
-    g_inv = div_coeffs(adj, det[None, None], oi, oi, oi)
+    det, adj = det_and_adjugate(truncate_coeffs(g, order, 1), 1)
+    g_inv = div_coeffs(adj, det[None, None], 1, 1, 1)
 
     ident = np.einsum("pij,pjk->pik", g_val, np.moveaxis(g_inv[:, :, 0, :], -1, 0))
     if np.max(np.abs(ident - np.eye(4))) > 1e-9:
         raise SingularMetric("inverse check failed (ill-conditioned metric)")
 
-    return MetricJet(spec=spec, points=pts, single=single, order=order, g=g, g_inv=g_inv, det=det)
+    return MetricJet(spec=spec, points=pts, single=single, g=g, g_inv=g_inv, det=det)

@@ -24,15 +24,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .errors import CalibrationFailure, DegenerateRoot, KindError, RankDeficient
+from .errors import CalibrationFailure, KindError, RankDeficient
 from .exprkit.ast import Num, u as _u, v as _v
 from .exprkit.calculus import diff_expr, is_zero_expr
-from .exprkit.jets import as_points, deriv_coeffs, mul_coeffs
+from .exprkit.jets import as_points
 from .frames import Distribution, walker_tetrad, _as_frame, _generators
 from .tensor.curvature import CurvaturePack, curvature
 from .tensor.metric import WALKER, MetricSpec, metric_jet
@@ -48,7 +47,6 @@ class QuarticForm:
 
     side: str  # "SD" | "ASD"
     coeffs: np.ndarray  # (P, 5) c_0..c_4, c_k multiplying tau^k
-    coeff_partials: Optional[np.ndarray]  # (P, 5, 4) coordinate partials, or None
     ref_scale: np.ndarray  # (P,) curvature x bivector^2 magnitude at each point
 
     @property
@@ -77,11 +75,6 @@ class RootList:
 
 
 @dataclass(frozen=True)
-class WeylComponents:
-    psi: np.ndarray  # (..., 5)
-
-
-@dataclass(frozen=True)
 class CalibrationConstant:
     value: float
     provenance: dict
@@ -91,40 +84,29 @@ class CalibrationConstant:
 # quartic extraction
 
 
-def _contract(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Jets of a_{ij...} b_{ij...} summed over the leading index pair."""
-    return mul_coeffs(a, b, order, order, order).sum(axis=(0, 1))
-
-
 def weyl_quartic(pack: CurvaturePack, tet) -> dict:
     """The SD and ASD quartic forms at the pack's point(s): {"SD": QuarticForm,
     "ASD": QuarticForm}, each with a leading point axis unless the pack is a
     single point.
 
-    tet is a Tetrad, or a frames.Frame at the pack's points whose bivector
-    bases have the pack's jet order.  Coefficient coordinate partials are
-    included when the pack was built from order-3 metric jets.  The
-    reference scale is the largest Weyl pairing C(b_i, b_j) over both
-    sides' bivector bases, which is the magnitude the coefficients would
-    have if the relevant Weyl part were generic.
+    tet is a Tetrad, or a frames.Frame at the pack's points.  The reference
+    scale is the largest Weyl pairing C(b_i, b_j) over both sides' bivector
+    bases, which is the magnitude the coefficients would have if the
+    relevant Weyl part were generic.
     """
-    order = pack.order
-    bases = _as_frame(tet, pack.points, basis_order=order).bases
+    bases = _as_frame(tet, pack.points).bases
     pairings = {}
     for side, basis in bases.items():
         # C(b_i, .) once per basis element, then paired with b_j for j >= i
-        t = [_contract(pack.weyl, b[:, :, None, None], order) for b in basis]
-        pairings[side] = [_contract(t[i], basis[j], order) for i in range(3) for j in range(i, 3)]
-    ref = np.max([np.abs(p[0]) for side_pairings in pairings.values() for p in side_pairings], axis=0)
+        t = [(pack.weyl * b[:, :, None, None]).sum(axis=(0, 1)) for b in basis]
+        pairings[side] = [(t[i] * basis[j]).sum(axis=(0, 1)) for i in range(3) for j in range(i, 3)]
+    ref = np.max([np.abs(p) for side_pairings in pairings.values() for p in side_pairings], axis=0)
 
     point = 0 if pack.mj.single else slice(None)
     forms = {}
     for side, (p00, p01, p02, p11, p12, p22) in pairings.items():
-        coeffs = np.stack([p00, 2.0 * p01, 2.0 * p02 + p11, 2.0 * p12, p22])  # (5, M, P)
-        partials = None
-        if order >= 1:
-            partials = np.moveaxis(deriv_coeffs(coeffs, order)[..., 0, :], -1, 0)[point]  # (P, 5, 4)
-        forms[side] = QuarticForm(side, coeffs[:, 0].T[point], partials, ref[point])
+        coeffs = np.stack([p00, 2.0 * p01, 2.0 * p02 + p11, 2.0 * p12, p22])  # (5, P)
+        forms[side] = QuarticForm(side, coeffs.T[point], ref[point])
     return forms
 
 
@@ -319,13 +301,6 @@ def root_structure(q: QuarticForm):
 # ---------------------------------------------------------------------------
 # component calibration
 
-_BINOM4 = np.array([comb(4, k) for k in range(5)], dtype=float)
-
-
-def weyl_components(q: QuarticForm, kappa: CalibrationConstant) -> WeylComponents:
-    return WeylComponents(psi=q.coeffs / (_BINOM4 * kappa.value))
-
-
 def calibrate_kappa(spec: MetricSpec, points) -> CalibrationConstant:
     """Fix the pairing constant via (middle component) = S/12 on metrics
     with a_v = c_v = 0; asserts point- and side-independence."""
@@ -334,7 +309,7 @@ def calibrate_kappa(spec: MetricSpec, points) -> CalibrationConstant:
     if not (is_zero_expr(diff_expr(spec.a, "v")) and is_zero_expr(diff_expr(spec.c, "v"))):
         raise CalibrationFailure("calibration instance must have a and c independent of v")
     pts, _ = as_points(points)
-    pack = curvature(metric_jet(spec, pts, order=2))
+    pack = curvature(metric_jet(spec, pts))
     tet = walker_tetrad(spec)
     s_vals = pack.scalar_val
     if np.all(np.abs(s_vals) < 1e-8):
@@ -386,7 +361,7 @@ def obstruction_residual(spec: MetricSpec, p):
     if spec.kind != WALKER:
         raise KindError("the obstruction is evaluated in the walker gauge")
     pts, single = as_points(p)
-    pack = curvature(metric_jet(spec, pts, order=2))
+    pack = curvature(metric_jet(spec, pts))
     c2 = weyl_quartic(pack, walker_tetrad(spec))["ASD"].coeffs[..., 2]
     out = c2 / (6.0 * default_kappa().value) - pack.scalar_val / 12.0
     return float(out[0]) if single else out
@@ -443,55 +418,3 @@ def rps_discriminant(pack: CurvaturePack, zdist: Distribution):
         raise RankDeficient("rps_discriminant needs a 2-plane distribution")
     out = _rps_of(*_e_restricted(pack, _generators(zdist, pack.points)[0]))
     return float(out[0]) if pack.mj.single else out
-
-
-# ---------------------------------------------------------------------------
-# implicit differentiation of a root field
-
-
-def _falling(k: int, j: int) -> float:
-    out = 1.0
-    for i in range(j):
-        out *= k - i
-    return out
-
-
-_VANISH_TOL = 1e-6  # relative size below which a t-derivative of the quartic vanishes
-
-
-def implicit_root_jet(q: QuarticForm, t_root: float) -> np.ndarray:
-    """First coordinate partials of an isolated root field of a single-point
-    quartic form.
-
-    The root's multiplicity m is detected from the t-derivatives at t_root;
-    implicit differentiation is applied to d^{m-1}q/dt^{m-1} = 0.  Raises
-    DegenerateRoot when the multiplicity structure is not clearly resolved.
-    """
-    if q.coeff_partials is None:
-        raise ValueError("quartic was built without coefficient partials (needs order-3 metric jets)")
-    c = q.coeffs
-    tmax = max(1.0, abs(t_root))
-    mult = None
-    for j in range(5):
-        val = sum(c[k] * _falling(k, j) * t_root ** (k - j) for k in range(j, 5))
-        bound = sum(abs(c[k]) * _falling(k, j) * tmax ** (k - j) for k in range(j, 5))
-        bound = max(bound, q.scale, 1e-30)
-        if abs(val) > _VANISH_TOL * bound:
-            if abs(val) < 1e3 * _VANISH_TOL * bound:
-                raise DegenerateRoot("root multiplicity is numerically marginal")
-            mult = j
-            break
-    if mult is None:
-        raise DegenerateRoot("all t-derivatives vanish (zero form)")
-    if mult == 0:
-        raise DegenerateRoot(f"t = {t_root} is not a root of the quartic")
-
-    dG_dt = sum(c[k] * _falling(k, mult) * t_root ** (k - mult) for k in range(mult, 5))
-    grad = np.zeros(4)
-    for i in range(4):
-        dG_dxi = sum(
-            q.coeff_partials[k, i] * _falling(k, mult - 1) * t_root ** (k - mult + 1)
-            for k in range(mult - 1, 5)
-        )
-        grad[i] = -dG_dxi / dG_dt
-    return grad

@@ -57,7 +57,7 @@ def test_symbolic_checks_agree_with_jets():
 
 def test_mk_sd2015_flat_and_single_coefficient():
     flat = mk_sd2015()
-    assert np.max(np.abs(curvature(metric_jet(flat.spec, PTS, 2)).riemann_val)) == 0.0
+    assert np.max(np.abs(curvature(metric_jet(flat.spec, PTS)).riemann_val)) == 0.0
     inst = mk_sd2015(1)
     assert to_string(inst.spec.a) == "u^3"
     assert to_string(inst.spec.b) == "u * v^2"
@@ -87,14 +87,14 @@ def test_sd_two_sided_nests_in_sd2015():
         C=polys["C"], E=polys["E"], G=polys["G"], L=polys["L"], M=polys["M"],
         N=polys["N"], H=polys["H"], P=polys["P"], T=polys["T"], K=neg_(polys["C"]),
     )
-    g1 = metric_jet(narrow.spec, PTS, 1).g_val
-    g2 = metric_jet(wide.spec, PTS, 1).g_val
+    g1 = metric_jet(narrow.spec, PTS).g_val
+    g2 = metric_jet(wide.spec, PTS).g_val
     assert np.max(np.abs(g1 - g2)) < 1e-12
 
 
 def test_sd_two_sided_scalar_curvature_vanishes():
     inst = mk_sd_two_sided(*random_polys(11, 2, ("x", "y"), 9))
-    pack = curvature(metric_jet(inst.spec, PTS, 2))
+    pack = curvature(metric_jet(inst.spec, PTS))
     assert np.max(np.abs(pack.scalar_val)) < 1e-9 * max(np.max(pack.riemann_scale()), 1.0)
 
 
@@ -104,7 +104,7 @@ def test_sd_two_sided_scalar_curvature_vanishes():
 
 def test_mk_two_sided_golden_scalar():
     inst = mk_two_sided(u**2, v**2, u)
-    pack = curvature(metric_jet(inst.spec, PTS, 2))
+    pack = curvature(metric_jet(inst.spec, PTS))
     assert np.allclose(pack.scalar_val, 4.0)
 
 
@@ -127,7 +127,7 @@ def test_mk_two_sided_rejects_violations():
 def test_mk_ricci_null_simple():
     inst = mk_ricci_null(0, u**2, v**2)
     assert eval_scalar(parse_expr(inst.provenance["h"]), PTS[0]) == pytest.approx(2.0)
-    pack = curvature(metric_jet(inst.spec, PTS, 2))
+    pack = curvature(metric_jet(inst.spec, PTS))
     assert np.allclose(pack.scalar_val, 4.0)
 
 
@@ -153,7 +153,7 @@ def test_mk_ricci_null_constraint_errors():
 
 def test_mk_left_flat_zero_is_flat():
     inst = mk_left_flat()
-    assert np.max(np.abs(curvature(metric_jet(inst.spec, PTS, 2)).riemann_val)) == 0.0
+    assert np.max(np.abs(curvature(metric_jet(inst.spec, PTS)).riemann_val)) == 0.0
 
 
 def test_mk_left_flat_direct_substitution():
@@ -169,7 +169,7 @@ def test_mk_left_flat_direct_substitution():
 
 def test_mk_left_flat_ricci_flat():
     inst = mk_left_flat(*[mul_(parse_expr("0.5"), e) for e in random_polys(21, 2, ("x", "y"), 5)])
-    pack = curvature(metric_jet(inst.spec, PTS, 2))
+    pack = curvature(metric_jet(inst.spec, PTS))
     scale = max(np.max(pack.riemann_scale()), 1e-30)
     assert np.max(np.abs(pack.ricci_val)) < 1e-9 * scale
 
@@ -191,7 +191,7 @@ def test_cp_transcription_golden():
 
 def test_cp_scalar_curvature_vanishes():
     g_inst, _, _ = mk_cp_example(mul_(x, y))
-    pack = curvature(metric_jet(g_inst.spec, PTS, 2))
+    pack = curvature(metric_jet(g_inst.spec, PTS))
     assert np.max(np.abs(pack.scalar_val)) < 1e-7 * max(np.max(pack.riemann_scale()), 1.0)
 
 

@@ -219,7 +219,7 @@ def test_pipeline_residuals_equal_public_wrappers(case, tmp_path):
     from nullplane.tensor import curvature, metric_jet
     from nullplane.weylalg import ricci_null_residual, rps_discriminant, weyl_quartic
 
-    pack = curvature(metric_jet(spec, pts, 2))
+    pack = curvature(metric_jet(spec, pts))
     forms = weyl_quartic(pack, tet)
     for side, key in (("SD", "quartic_sd"), ("ASD", "quartic_asd")):
         want_coeffs = [[float(c) for c in row] for row in forms[side].coeffs]
@@ -401,7 +401,7 @@ def test_later_stage_error_names_global_sample_and_stage(stage, monkeypatch):
         original = getattr(analyze, name)
 
         def failing(first, *args):
-            # metric_jet(spec, p, order), box_scalar(pack, chi) or box_scalar(spec, chi, p)
+            # metric_jet(spec, p), box_scalar(pack, chi) or box_scalar(spec, chi, p)
             at = args[0] if name == "metric_jet" else args[1] if len(args) > 1 else first.points
             if (stage == "box" or first.kind == "walker") and np.any(np.atleast_2d(at)[:, 0] < lo.mean()):
                 raise DomainError(reason)
@@ -448,7 +448,6 @@ def test_adapted_middle_coeff_matches_factored_quartic():
 
 def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
     import importlib
-    import inspect
 
     from nullplane.weylalg import default_kappa
 
@@ -460,17 +459,10 @@ def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
 
     default_kappa()  # the cached calibration is not part of a chunk
     counts = {"metric_jet": 0, "christoffel": 0}
-    orders = []
 
     def counted(name, fn):
-        signature = inspect.signature(fn)
-
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            if name == "metric_jet":
-                bound = signature.bind(*args, **kwargs)
-                bound.apply_defaults()
-                orders.append(bound.arguments["order"])
             return fn(*args, **kwargs)
 
         return wrapper
@@ -489,10 +481,8 @@ def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
     }
     for case, cfg in _shared_evaluation_configs(tmp_path).items():
         counts.update(metric_jet=0, christoffel=0)
-        orders.clear()
         run_analysis(cfg)
         assert counts == want[case], case
-        assert orders == [2] * want[case]["metric_jet"], case  # curvature needs second partials only
 
 
 @pytest.mark.parametrize("case", ["walker", "conformal_walker", "general"])
@@ -780,6 +770,58 @@ def test_report_written_from_hand_built_columns():
     assert json.dumps(json.loads(text)["b"]["points"], sort_keys=True) == json.dumps(report.point_records, sort_keys=True)
 
 
+def _text_from_records(report) -> str:
+    """Report.to_text as it read the first point from point_records."""
+    lines = [f"nullplane 0.1.0 analysis of {report.config.get('source', '?')}"]
+    lines.append(f"  points: {report.config['points']}  seed: {report.config['seed']}")
+    if report.kappa is not None:
+        lines.append(f"  calibration constant: {report.kappa:.12g}")
+    lines.append("  flags:")
+    width = max(len(k) for k in report.flags)
+    for key in sorted(report.flags):
+        lines.append(f"    {key:<{width}}  {report.flags[key]}")
+    lines.append(f"  verdict: {report.verdict}   ({report.verdict_reason})")
+    if report.point_records:
+        rec = report.point_records[0]
+        lines.append("  first sampled point:")
+        lines.append(f"    point: {rec['point']}")
+        lines.append(f"    scalar_curvature: {rec['scalar_curvature']:.6g}")
+        if rec.get("quartic_sd"):
+            lines.append(f"    SD quartic type: {rec['quartic_sd']['roots']['type']}")
+            lines.append(f"    ASD quartic type: {rec['quartic_asd']['roots']['type']}")
+    return "\n".join(lines)
+
+
+def test_text_report_reads_the_columns_not_the_records(monkeypatch, tmp_path, capsys):
+    """to_text builds no per-point records, and writes what it wrote from
+    them: for a walker report, a general report without frames, and the cp
+    pair."""
+    import nullplane.lab.cli as cli
+
+    reports = []
+
+    def recorded(cfg):
+        reports.append(run_analysis(cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_analysis", recorded)
+    a, b, c = random_polys(75_000, 2, ("u", "v", "x", "y"), 3)
+    path = tmp_path / "general.ini"
+    path.write_text(GENERAL_SPEC.split("[tetrad]")[0])
+    runs = (
+        ["family", "--name", "walker", f"--a={a}", f"--b={b}", f"--c={c}", "--points", "300"],
+        ["analyze", "--spec", str(path), "--points", "7"],
+        ["family", "--name", "cp", "--F", "x*y", "--points", "5"],
+    )
+    for argv in runs:
+        assert main(argv + ["--format", "text"]) == 0
+        printed = capsys.readouterr().out
+        assert all("point_records" not in report.__dict__ for report in reports)
+        assert printed == "\n\n".join(_text_from_records(report) for report in reports) + "\n"
+        reports.clear()
+    assert "SD quartic type" not in _text_from_records(run_analysis(load_spec_file(str(path))))
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -992,6 +1034,6 @@ def test_selftest_mutation_detection():
     broken = MetricSpec.walker(
         inst.spec.a, inst.spec.b, add_(inst.spec.c, mul_(Num(0.01), parse_expr("u^3")))
     )
-    pack = curvature(metric_jet(broken, pts, 3))
+    pack = curvature(metric_jet(broken, pts))
     asd = weyl_quartic(pack, walker_tetrad(broken))["ASD"]
     assert any(rl.type_string != "O" for rl in root_structure(asd))

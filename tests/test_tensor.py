@@ -32,7 +32,7 @@ def _rel(err, scale):
 
 
 def test_flat_walker_block():
-    mj = metric_jet(FLAT, PTS, 2)
+    mj = metric_jet(FLAT, PTS)
     expected = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
     assert np.allclose(mj.g_val, expected)
     assert np.allclose(mj.g_inv_val, expected)
@@ -43,7 +43,7 @@ def test_reference_metric_components():
     a = parse_expr("u^4/(3*v^2)")
     c = parse_expr("2*u^3/(3*v)")
     b = parse_expr("u^2")
-    mj = metric_jet(MetricSpec.walker(a, b, c), np.array([1.0, 1.0, 0.0, 0.0]), 2)
+    mj = metric_jet(MetricSpec.walker(a, b, c), np.array([1.0, 1.0, 0.0, 0.0]))
     g = mj.g_val[0]
     assert g[2, 2] == pytest.approx(1.0 / 3.0)
     assert g[2, 3] == pytest.approx(2.0 / 3.0)
@@ -52,14 +52,14 @@ def test_reference_metric_components():
 
 def test_conformal_component():
     spec = MetricSpec.conformal_walker(parse_expr("1/v"), 0, 0, 0)
-    mj = metric_jet(spec, np.array([0.0, 2.0, 0.0, 0.0]), 2)
+    mj = metric_jet(spec, np.array([0.0, 2.0, 0.0, 0.0]))
     assert mj.g_val[0][1, 3] == pytest.approx(0.25)
 
 
 def test_inverse_identity_and_partial_symmetry(walker_corpus):
     specs, pts = walker_corpus
     for spec in specs[:3]:
-        mj = metric_jet(spec, pts, 3)
+        mj = metric_jet(spec, pts)
         ident = np.einsum("pij,pjk->pik", mj.g_val, mj.g_inv_val)
         assert np.max(np.abs(ident - np.eye(4))) < 1e-12
         assert np.allclose(mj.g, np.swapaxes(mj.g, 0, 1))
@@ -67,9 +67,10 @@ def test_inverse_identity_and_partial_symmetry(walker_corpus):
 
 @pytest.mark.parametrize("case", ["walker", "conformal_walker", "general"])
 def test_inverse_built_one_order_below_the_metric(case, tmp_path):
-    """g^-1 and det stop at max(order - 1, 0), and equal bit for bit the
-    leading coefficients of the inverse and determinant built at the full
-    order: lower Leibniz coefficients do not depend on the truncation."""
+    """g is built to second order, g^-1 and det to first, and these equal
+    bit for bit the leading coefficients of the inverse and determinant
+    built at second order: lower Leibniz coefficients do not depend on the
+    truncation."""
     from nullplane.exprkit.jets import div_coeffs, n_coeffs
     from nullplane.families import mk_cp_example, random_polys
     from nullplane.lab import load_spec_file
@@ -86,26 +87,25 @@ def test_inverse_built_one_order_below_the_metric(case, tmp_path):
         spec = load_spec_file(str(path)).spec
     for npts in (1, 2, 13, 250):
         pts = sample_box(73_100 + npts, npts)
-        for order in (0, 2, 3):
-            mj = metric_jet(spec, pts, order)
-            m = n_coeffs(max(order - 1, 0))
-            assert mj.g_inv.shape[2] == mj.det.shape[0] == m
-            det, adj = det_and_adjugate(mj.g, order)
-            g_inv = div_coeffs(adj, det[None, None], order, order, order)
-            assert np.array_equal(mj.det, det[:m]), (npts, order)
-            assert np.array_equal(mj.g_inv, g_inv[:, :, :m]), (npts, order)
+        mj = metric_jet(spec, pts)
+        assert mj.g.shape == (4, 4, n_coeffs(2), npts)
+        assert mj.g_inv.shape == (4, 4, n_coeffs(1), npts) and mj.det.shape == (n_coeffs(1), npts)
+        det, adj = det_and_adjugate(mj.g, 2)
+        g_inv = div_coeffs(adj, det[None, None], 2, 2, 2)
+        assert np.array_equal(mj.det, det[: n_coeffs(1)]), npts
+        assert np.array_equal(mj.g_inv, g_inv[:, :, : n_coeffs(1)]), npts
 
 
 def test_signature_rejection():
     euclid = MetricSpec.general([[Num(1.0) if i == j else Num(0.0) for j in range(4)] for i in range(4)])
     with pytest.raises(SingularMetric):
-        metric_jet(euclid, PTS, 2)
+        metric_jet(euclid, PTS)
 
 
 def test_conformal_factor_positivity_enforced():
     spec = MetricSpec.conformal_walker(parse_expr("v - 1"), 0, 0, 0)
     with pytest.raises(DomainError):
-        metric_jet(spec, PTS, 2)
+        metric_jet(spec, PTS)
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +113,14 @@ def test_conformal_factor_positivity_enforced():
 
 
 def test_flat_christoffel_vanishes():
-    pack = christoffel(metric_jet(FLAT, PTS, 2))
+    pack = christoffel(metric_jet(FLAT, PTS))
     assert np.max(np.abs(pack.gamma_val)) == 0.0
 
 
 def test_christoffel_oracle_a_u2():
     spec = MetricSpec.walker(u**2, 0, 0)
     pts = np.array([[1.3, 0.7, 0.9, 1.1]])
-    gam = christoffel(metric_jet(spec, pts, 2)).gamma_val[0]
+    gam = christoffel(metric_jet(spec, pts)).gamma_val[0]
     assert gam[0, 0, 2] == pytest.approx(1.3)  # Gamma^u_ux = u
     assert gam[0, 2, 2] == pytest.approx(1.3**3)  # Gamma^u_xx = u^3
     assert gam[2, 2, 2] == pytest.approx(-1.3)  # Gamma^x_xx = -u
@@ -132,9 +132,9 @@ def test_metric_compatibility(walker_corpus):
 
     specs, pts = walker_corpus
     for spec in specs[:4]:
-        mj = metric_jet(spec, pts, 3)
+        mj = metric_jet(spec, pts)
         pack = christoffel(mj)
-        dg = deriv_coeffs(mj.g, 3)[..., 0, :]
+        dg = deriv_coeffs(mj.g, 2)[..., 0, :]
         gamv = pack.gamma[..., 0, :]
         gv = mj.g[:, :, 0, :]
         term = np.einsum("ekip,ejp->ijkp", gamv, gv) + np.einsum("ekjp,iep->ijkp", gamv, gv)
@@ -147,12 +147,12 @@ def test_metric_compatibility(walker_corpus):
 
 
 def test_flat_curvature_zero():
-    pack = curvature(metric_jet(FLAT, PTS, 3))
+    pack = curvature(metric_jet(FLAT, PTS))
     assert np.max(np.abs(pack.riemann_val)) == 0.0
 
 
 def test_scalar_curvature_golden():
-    pack = curvature(metric_jet(MetricSpec.walker(u**2, v**2, Num(0.0)), PTS, 2))
+    pack = curvature(metric_jet(MetricSpec.walker(u**2, v**2, Num(0.0)), PTS))
     assert np.allclose(pack.scalar_val, 4.0)
 
 
@@ -161,7 +161,7 @@ def test_riemann_symmetries_on_large_corpus():
     specs = random_walker_specs(30_000, 200)
     pts = sample_box(31_000, 10)
     for spec in specs:
-        pack = curvature(metric_jet(spec, pts, 2))
+        pack = curvature(metric_jet(spec, pts))
         r = pack.riemann_val
         scale = max(np.max(np.abs(r)), 1e-30)
         assert np.max(np.abs(r + r.transpose(0, 2, 1, 3, 4))) < 1e-9 * scale
@@ -174,7 +174,7 @@ def test_riemann_symmetries_on_large_corpus():
 def test_weyl_and_efield_traceless(walker_corpus):
     specs, pts = walker_corpus
     for spec in specs:
-        mj = metric_jet(spec, pts, 2)
+        mj = metric_jet(spec, pts)
         pack = curvature(mj)
         scale = max(np.max(np.abs(pack.riemann_val)), 1e-30)
         tr = np.einsum("pac,pabcd->pbd", mj.g_inv_val, pack.weyl_val)
@@ -186,7 +186,7 @@ def test_weyl_and_efield_traceless(walker_corpus):
 def test_scalar_curvature_formula(walker_corpus):
     specs, pts = walker_corpus
     for spec in specs:
-        pack = curvature(metric_jet(spec, pts, 2))
+        pack = curvature(metric_jet(spec, pts))
         formula = (
             eval_scalar(diff_expr(diff_expr(spec.a, "u"), "u"), pts)
             + eval_scalar(diff_expr(diff_expr(spec.b, "v"), "v"), pts)
@@ -201,7 +201,7 @@ def test_scalar_curvature_formula(walker_corpus):
 
 
 def test_dual_eigensignatures_flat():
-    mj = metric_jet(FLAT, PTS, 2)
+    mj = metric_jet(FLAT, PTS)
     tet = walker_tetrad(FLAT)
     dual = volume_and_duals(mj, tet)
 
@@ -225,7 +225,7 @@ def test_star_squared_identity(walker_corpus):
     specs, pts = walker_corpus
     rng = np.random.default_rng(4)
     for spec in specs[:3]:
-        dual = volume_and_duals(metric_jet(spec, pts, 2), walker_tetrad(spec))
+        dual = volume_and_duals(metric_jet(spec, pts), walker_tetrad(spec))
         biv = rng.normal(size=(len(pts), 4, 4))
         biv = biv - biv.transpose(0, 2, 1)
         twice = dual.star_bivector(dual.star_bivector(biv))
@@ -241,19 +241,18 @@ def test_dual_sign_flips_with_swapped_tetrad(walker_corpus):
     mv = np.array([eval_scalar(c_, pts) for c_ in tet.m])
     biv = np.einsum("ip,jp->pij", lv, mv)
     biv = biv - biv.transpose(0, 2, 1)  # l ^ m, the swapped tetrad's l ^ mt
-    for order in (2, 3):
-        dual = volume_and_duals(metric_jet(spec, pts, order), swapped)
-        assert dual.sign == -1.0
-        assert np.max(np.abs(dual.star_bivector(biv) - biv)) < 1e-10 * np.max(np.abs(biv))
-        rng = np.random.default_rng(order)
-        rand = rng.normal(size=(len(pts), 4, 4))
-        rand = rand - rand.transpose(0, 2, 1)
-        twice = dual.star_bivector(dual.star_bivector(rand))
-        assert np.max(np.abs(twice - rand)) < 1e-10 * np.max(np.abs(rand))
+    dual = volume_and_duals(metric_jet(spec, pts), swapped)
+    assert dual.sign == -1.0
+    assert np.max(np.abs(dual.star_bivector(biv) - biv)) < 1e-10 * np.max(np.abs(biv))
+    rng = np.random.default_rng(2)
+    rand = rng.normal(size=(len(pts), 4, 4))
+    rand = rand - rand.transpose(0, 2, 1)
+    twice = dual.star_bivector(dual.star_bivector(rand))
+    assert np.max(np.abs(twice - rand)) < 1e-10 * np.max(np.abs(rand))
 
 
 def test_dual_calibration_failure_on_broken_tetrad():
-    mj = metric_jet(FLAT, PTS, 2)
+    mj = metric_jet(FLAT, PTS)
     broken = Tetrad(
         l=(Num(1.0), Num(0.0), Num(1.0), Num(0.0)),  # not a null-plane spanner
         n=(Num(0.0), Num(0.0), Num(1.0), Num(0.0)),
@@ -267,7 +266,7 @@ def test_dual_calibration_failure_on_broken_tetrad():
 def test_weyl_split_parts(walker_corpus):
     specs, pts = walker_corpus
     for spec in specs[:3]:
-        mj = metric_jet(spec, pts, 2)
+        mj = metric_jet(spec, pts)
         pack = curvature(mj)
         dual = volume_and_duals(mj, walker_tetrad(spec))
         cp, cm = weyl_split(pack, dual)
@@ -280,7 +279,7 @@ def test_weyl_split_parts(walker_corpus):
 
 
 def test_flat_weyl_split_zero():
-    mj = metric_jet(FLAT, PTS, 2)
+    mj = metric_jet(FLAT, PTS)
     pack = curvature(mj)
     dual = volume_and_duals(mj, walker_tetrad(FLAT))
     cp, cm = weyl_split(pack, dual)
@@ -291,7 +290,7 @@ def test_flat_weyl_split_zero():
 def test_cross_contraction_sd_bivector_with_asd_part(walker_corpus):
     specs, pts = walker_corpus
     spec = specs[0]
-    mj = metric_jet(spec, pts, 2)
+    mj = metric_jet(spec, pts)
     pack = curvature(mj)
     dual = volume_and_duals(mj, walker_tetrad(spec))
     _, cm = weyl_split(pack, dual)
@@ -354,7 +353,7 @@ def test_box_flat_x_squared():
 def test_conformal_identity():
     spec = MetricSpec.walker(u**2, v**2, u * v)
     resc = conformal_rescale(spec, Num(1.0))
-    assert np.allclose(metric_jet(resc, PTS, 2).g_val, metric_jet(spec, PTS, 2).g_val)
+    assert np.allclose(metric_jet(resc, PTS).g_val, metric_jet(spec, PTS).g_val)
 
 
 def test_conformal_scalar_law(walker_corpus):
@@ -362,9 +361,9 @@ def test_conformal_scalar_law(walker_corpus):
     chi = parse_expr("exp(x/4 + v/5)")
     chi_v = eval_scalar(chi, pts)
     for spec in specs[:4]:
-        pack = curvature(metric_jet(spec, pts, 2))
+        pack = curvature(metric_jet(spec, pts))
         resc = conformal_rescale(spec, chi)
-        pack_r = curvature(metric_jet(resc, pts, 2))
+        pack_r = curvature(metric_jet(resc, pts))
         predicted = chi_v**-2.0 * (pack.scalar_val - 6.0 * np.asarray(box_scalar(spec, chi, pts)) / chi_v)
         scale = np.maximum(np.abs(predicted), pack_r.riemann_scale())
         assert np.max(np.abs(pack_r.scalar_val - predicted) / np.maximum(scale, 1e-30)) < 1e-7
@@ -374,8 +373,8 @@ def test_conformal_weyl_invariance(walker_corpus):
     specs, pts = walker_corpus
     chi = parse_expr("exp(y/4)*(1 + u/10)")
     for spec in specs[:4]:
-        mj = metric_jet(spec, pts, 2)
-        mjr = metric_jet(conformal_rescale(spec, chi), pts, 2)
+        mj = metric_jet(spec, pts)
+        mjr = metric_jet(conformal_rescale(spec, chi), pts)
         w = np.einsum("pae,pebcd->pabcd", mj.g_inv_val, curvature(mj).weyl_val)
         wr = np.einsum("pae,pebcd->pabcd", mjr.g_inv_val, curvature(mjr).weyl_val)
         assert np.max(np.abs(w - wr)) < 1e-7 * max(np.max(np.abs(w)), 1e-30)
@@ -386,7 +385,7 @@ def test_reference_rescaled_metric_is_einstein():
     c = parse_expr("2*u^3/(3*v)")
     b = parse_expr("u^2")
     h = MetricSpec.conformal_walker(parse_expr("1/v"), a, b, c)
-    pack = curvature(metric_jet(h, PTS, 2))
+    pack = curvature(metric_jet(h, PTS))
     scale = max(np.max(np.abs(pack.riemann_val)), 1e-30)
     assert np.max(np.abs(pack.efield_val)) < 1e-9 * scale
     assert np.max(np.abs(pack.scalar_val)) < 1e-9 * scale

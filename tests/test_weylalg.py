@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from nullplane.errors import CalibrationFailure, DegenerateRoot, KindError
+from nullplane.errors import CalibrationFailure, KindError
 from nullplane.exprkit import Num, eval_scalar, parse_expr, u, v, x, y
 from nullplane.families import mk_cp_example
 from nullplane.frames import Frame, ProjParam, Tetrad, alpha_dist, walker_tetrad
@@ -21,12 +21,10 @@ from nullplane.weylalg import (
     calibrate_kappa,
     default_kappa,
     einstein_residual,
-    implicit_root_jet,
     obstruction_residual,
     ricci_null_residual,
     root_structure,
     rps_discriminant,
-    weyl_components,
     weyl_quartic,
 )
 from conftest import GENERAL_SPEC, sample_box
@@ -49,7 +47,7 @@ def _reference_spec():
 
 def test_flat_quartics_type_o():
     spec = MetricSpec.walker(0, 0, 0)
-    pack = curvature(metric_jet(spec, PTS, 3))
+    pack = curvature(metric_jet(spec, PTS))
     tet = walker_tetrad(spec)
     for q in weyl_quartic(pack, tet).values():
         assert all(rl.type_string == "O" for rl in root_structure(q))
@@ -59,7 +57,7 @@ def test_quartic_value_matches_plane_pairing(walker_corpus):
     """q(tau) equals the Weyl pairing of the plane bivector with itself."""
     specs, pts = walker_corpus
     spec = specs[0]
-    pack = curvature(metric_jet(spec, pts, 3))
+    pack = curvature(metric_jet(spec, pts))
     tet = walker_tetrad(spec)
     vecs = {k: np.stack([eval_scalar(c, pts) for c in comps]) for k, comps in tet.vectors().items()}
     cvals = pack.weyl_val
@@ -89,14 +87,13 @@ def test_quartic_purity(walker_corpus):
     matching duality eigenpart; the opposite part contributes nothing."""
     specs, pts = walker_corpus
     for spec in specs[:3]:
-        mj = metric_jet(spec, pts, 3)
+        mj = metric_jet(spec, pts)
         pack = curvature(mj)
         dual = volume_and_duals(mj, walker_tetrad(spec))
         cp, cm = weyl_split(pack, dual)
         for side, part in (("SD", cp), ("ASD", cm)):
             pack_part = copy.copy(pack)
-            pack_part.weyl = np.moveaxis(part, 0, -1)[..., None, :]  # order-0 jets
-            pack_part.order = 0
+            pack_part.weyl = np.moveaxis(part, 0, -1)  # values, the point axis last
             full = weyl_quartic(pack, walker_tetrad(spec))[side]
             from_part = weyl_quartic(pack_part, walker_tetrad(spec))[side]
             defect = np.max(np.abs(full.coeffs - from_part.coeffs), axis=1)
@@ -109,7 +106,7 @@ def test_asd_quartic_zero_iff_asd_weyl_zero(walker_corpus):
     from nullplane.families import mk_sd2015, random_polys
 
     inst = mk_sd2015(*random_polys(50_000, 2, ("x", "y"), 15))
-    mj = metric_jet(inst.spec, pts, 3)
+    mj = metric_jet(inst.spec, pts)
     pack = curvature(mj)
     dual = volume_and_duals(mj, walker_tetrad(inst.spec))
     _, cm = weyl_split(pack, dual)
@@ -117,7 +114,7 @@ def test_asd_quartic_zero_iff_asd_weyl_zero(walker_corpus):
     assert all(rl.type_string == "O" for rl in root_structure(weyl_quartic(pack, walker_tetrad(inst.spec))["ASD"]))
     # direction 2: a generic instance has nonzero ASD part and non-O quartic
     spec = specs[0]
-    mj2 = metric_jet(spec, pts, 3)
+    mj2 = metric_jet(spec, pts)
     pack2 = curvature(mj2)
     dual2 = volume_and_duals(mj2, walker_tetrad(spec))
     _, cm2 = weyl_split(pack2, dual2)
@@ -132,21 +129,21 @@ def test_coefficient_vanishing_implications():
     a_u = random_polys(51_000, 2, ("u", "x", "y"), 1)[0]
     b_any, c_any = random_polys(51_001, 2, ("u", "v", "x", "y"), 2)
     spec = MetricSpec.walker(a_u, b_any, c_any)
-    q = weyl_quartic(curvature(metric_jet(spec, pts, 3)), walker_tetrad(spec))["ASD"]
+    q = weyl_quartic(curvature(metric_jet(spec, pts)), walker_tetrad(spec))["ASD"]
     assert np.all(np.abs(q.coeffs[:, 4]) < 1e-9 * np.maximum(q.scale, 1e-30))
     c_u = random_polys(51_002, 2, ("u", "x", "y"), 1)[0]
     spec2 = MetricSpec.walker(a_u, b_any, c_u)
-    q2 = weyl_quartic(curvature(metric_jet(spec2, pts, 3)), walker_tetrad(spec2))["ASD"]
+    q2 = weyl_quartic(curvature(metric_jet(spec2, pts)), walker_tetrad(spec2))["ASD"]
     assert np.all(np.max(np.abs(q2.coeffs[:, 3:]), axis=1) < 1e-9 * np.maximum(q2.scale, 1e-30))
 
 
 def _reference_ref_scale(pack, tet) -> np.ndarray:
     """The largest Weyl pairing over both sides' bivector bases, one einsum
     on values per pairing."""
-    bases = Frame.of(tet, pack.points, basis_order=pack.order).bases
+    bases = Frame.of(tet, pack.points).bases
     ref = np.zeros(pack.points.shape[0])
     for side in ("SD", "ASD"):
-        basis_vals = [b[..., 0, :] for b in bases[side]]
+        basis_vals = bases[side]
         for i in range(3):
             for j in range(i, 3):
                 g = np.einsum("pabcd,abp,cdp->p", pack.weyl_val, basis_vals[i], basis_vals[j])
@@ -166,28 +163,45 @@ def test_ref_scale_is_the_largest_pairing_of_both_sides(walker_corpus, tmp_path)
     general = load_spec_file(str(path))
     cases.append((general.spec, general.tetrad))
     for spec, tet in cases:
-        for order in (2, 3):
-            pack = curvature(metric_jet(spec, pts, order))
-            forms = weyl_quartic(pack, tet)
-            want = _reference_ref_scale(pack, tet)
-            assert np.max(want) > 0.0
-            for side in ("SD", "ASD"):
-                np.testing.assert_allclose(forms[side].ref_scale, want, rtol=1e-12, atol=0.0)
+        pack = curvature(metric_jet(spec, pts))
+        forms = weyl_quartic(pack, tet)
+        want = _reference_ref_scale(pack, tet)
+        assert np.max(want) > 0.0
+        for side in ("SD", "ASD"):
+            np.testing.assert_allclose(forms[side].ref_scale, want, rtol=1e-12, atol=0.0)
 
 
 def test_weyl_quartic_batch_and_single_point_shapes():
     spec = _reference_spec()
     tet = walker_tetrad(spec)
-    batch = weyl_quartic(curvature(metric_jet(spec, PTS, 3)), tet)
+    batch = weyl_quartic(curvature(metric_jet(spec, PTS)), tet)
     assert list(batch) == ["SD", "ASD"]
     for side, q in batch.items():
         assert q.side == side
-        assert q.coeffs.shape == (8, 5) and q.coeff_partials.shape == (8, 5, 4) and q.ref_scale.shape == (8,)
+        assert q.coeffs.shape == (8, 5) and q.ref_scale.shape == (8,)
         assert np.array_equal(q.scale, np.max(np.abs(q.coeffs), axis=1))
-        lone = weyl_quartic(curvature(metric_jet(spec, PTS[0], 3)), tet)[side]
-        assert lone.coeffs.shape == (5,) and lone.coeff_partials.shape == (5, 4) and np.ndim(lone.ref_scale) == 0
+        lone = weyl_quartic(curvature(metric_jet(spec, PTS[0])), tet)[side]
+        assert lone.coeffs.shape == (5,) and np.ndim(lone.ref_scale) == 0
         np.testing.assert_allclose(lone.coeffs, q.coeffs[0], rtol=1e-12, atol=1e-12 * float(q.scale[0]))
-    assert weyl_quartic(curvature(metric_jet(spec, PTS, 2)), tet)["ASD"].coeff_partials is None
+
+
+def test_single_point_without_the_point_axis_matches_a_one_point_batch():
+    """A point given as (4,) gives the pack values and the quartic forms of
+    the batch (1, 4) holding it, bit for bit; the forms drop the point axis."""
+    spec = _reference_spec()
+    tet = walker_tetrad(spec)
+    lone_pack = curvature(metric_jet(spec, PTS[3]))
+    row_pack = curvature(metric_jet(spec, PTS[3:4]))
+    assert lone_pack.mj.single and not row_pack.mj.single
+    assert lone_pack.scalar_val.shape == (1,) and lone_pack.weyl_val.shape == (1, 4, 4, 4, 4)
+    assert np.array_equal(lone_pack.scalar_val, row_pack.scalar_val)
+    assert np.array_equal(lone_pack.weyl_val, row_pack.weyl_val)
+    lone, row = weyl_quartic(lone_pack, tet), weyl_quartic(row_pack, tet)
+    for side in ("SD", "ASD"):
+        assert lone[side].coeffs.shape == (5,) and np.ndim(lone[side].ref_scale) == 0
+        assert np.array_equal(lone[side].coeffs, row[side].coeffs[0])
+        assert lone[side].ref_scale == row[side].ref_scale[0]
+        assert root_structure(lone[side]) == root_structure(row[side])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +209,13 @@ def test_weyl_quartic_batch_and_single_point_shapes():
 
 
 def _form(coeffs, ref=10.0):
-    return QuarticForm("ASD", np.asarray(coeffs, dtype=float), None, ref)
+    return QuarticForm("ASD", np.asarray(coeffs, dtype=float), ref)
 
 
 def _batch(forms: list) -> QuarticForm:
     """One batched form of single-point forms."""
     coeffs = np.array([f.coeffs for f in forms]).reshape(-1, 5)
-    return QuarticForm("ASD", coeffs, None, np.array([f.ref_scale for f in forms]))
+    return QuarticForm("ASD", coeffs, np.array([f.ref_scale for f in forms]))
 
 
 def test_root_structure_constructed():
@@ -242,7 +256,7 @@ def test_root_multiplicities_sum():
 
 def test_reference_roots():
     spec = _reference_spec()
-    pack = curvature(metric_jet(spec, PTS, 3))
+    pack = curvature(metric_jet(spec, PTS))
     tet = walker_tetrad(spec)
     roots_sd, roots_asd = (root_structure(q) for q in weyl_quartic(pack, tet).values())
     for p, (rs, ra) in enumerate(zip(roots_sd, roots_asd)):
@@ -261,13 +275,36 @@ def test_root_invariance_under_rescaling():
     from nullplane.exprkit.calculus import div_
 
     tet_r = Tetrad(**{k: tuple(div_(c, chi) for c in vec) for k, vec in tet.vectors().items()})
-    pack = curvature(metric_jet(spec, PTS, 3))
-    pack_r = curvature(metric_jet(rescaled, PTS, 3))
+    pack = curvature(metric_jet(spec, PTS))
+    pack_r = curvature(metric_jet(rescaled, PTS))
     roots = root_structure(weyl_quartic(pack, tet)["ASD"])
     roots_r = root_structure(weyl_quartic(pack_r, tet_r)["ASD"])
     for r1, r2 in zip(roots, roots_r):
         assert r1.type_string == r2.type_string
         assert r1.entries[0].value.real == pytest.approx(r2.entries[0].value.real, rel=1e-6)
+
+
+def test_conformal_law_on_the_whole_quartic():
+    """Metamorphic oracle: a conformal_walker chi^2 g and its walker part g,
+    each with its own tetrad, at the same points.  The lowered Weyl tensor
+    scales by chi^2 and each bivector of the tetrad divided by chi by
+    chi^-2, so chi^2 c_k(chi^2 g) = c_k(g) for every coefficient on both
+    sides, and the root types agree."""
+    from nullplane.families import random_polys
+
+    chi = parse_expr("exp(0.3*u - 0.2*x*y + 0.1*v)")
+    for i in range(8):
+        a, b, c = random_polys(74_000 + i, 2, ("u", "v", "x", "y"), 3)
+        g, h = MetricSpec.walker(a, b, c), MetricSpec.conformal_walker(chi, a, b, c)
+        pts = sample_box(74_100 + i, 100)
+        chi2 = eval_scalar(chi, pts) ** 2
+        forms_g = weyl_quartic(curvature(metric_jet(g, pts)), walker_tetrad(g))
+        forms_h = weyl_quartic(curvature(metric_jet(h, pts)), walker_tetrad(h))
+        for side in ("SD", "ASD"):
+            want, got = forms_g[side], forms_h[side]
+            defect = np.max(np.abs(chi2[:, None] * got.coeffs - want.coeffs), axis=1)
+            assert np.all(defect <= 1e-10 * want.scale), (i, side)
+            assert np.array_equal(root_structure(got).type_code, root_structure(want).type_code), (i, side)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +419,7 @@ def _seeded_quartics(seed: int, count: int) -> list:
         else:  # below the zero-form threshold of a larger curvature reference
             c = 1e-10 * rng.uniform(-1, 1, 5)
         c = np.asarray(c, dtype=float)
-        forms.append(QuarticForm("ASD", c, None, float(rng.uniform(0.5, 20.0))))
+        forms.append(QuarticForm("ASD", c, float(rng.uniform(0.5, 20.0))))
     return forms
 
 
@@ -520,30 +557,6 @@ def test_calibrate_kappa_failure_modes():
         calibrate_kappa(MetricSpec.walker(0, 0, 0), pts)  # S = 0 everywhere
 
 
-def test_weyl_components_reconstruction():
-    spec = MetricSpec.walker(u**2, v**2, u)
-    pack = curvature(metric_jet(spec, PTS[:1], 2))
-    kappa = default_kappa()
-    f = weyl_quartic(pack, walker_tetrad(spec))["ASD"]
-    psi = weyl_components(f, kappa).psi[0]
-    from math import comb
-
-    rebuilt = np.array([psi[k] * comb(4, k) * kappa.value for k in range(5)])
-    assert np.allclose(rebuilt, f.coeffs[0], rtol=1e-12)
-    # middle component equals S/12 on this two-sided instance
-    assert psi[2] == pytest.approx(pack.scalar_val[0] / 12.0, rel=1e-9)
-
-
-def test_weyl_components_of_a_batch_are_per_point():
-    spec = MetricSpec.walker(u**2, v**2, u)
-    kappa = default_kappa()
-    q = weyl_quartic(curvature(metric_jet(spec, PTS, 2)), walker_tetrad(spec))["SD"]
-    psi = weyl_components(q, kappa).psi
-    assert psi.shape == (8, 5)
-    for p in range(8):
-        assert np.array_equal(psi[p], weyl_components(_form(q.coeffs[p]), kappa).psi)
-
-
 # ---------------------------------------------------------------------------
 # obstruction
 
@@ -553,7 +566,7 @@ def test_obstruction_examples():
 
     a, b = random_polys(53_000, 2, ("u", "v", "x", "y"), 2)
     zero = obstruction_residual(MetricSpec.walker(a, b, parse_expr("u + v")), PTS)
-    pack = curvature(metric_jet(MetricSpec.walker(a, b, parse_expr("u + v")), PTS, 2))
+    pack = curvature(metric_jet(MetricSpec.walker(a, b, parse_expr("u + v")), PTS))
     assert np.max(np.abs(zero)) < 1e-7 * np.max(pack.riemann_scale())
     nonzero = obstruction_residual(MetricSpec.walker(a, b, parse_expr("u*v")), PTS)
     assert np.min(np.abs(nonzero)) > 1e-3
@@ -570,59 +583,17 @@ def test_obstruction_requires_walker_gauge():
 
 def test_einstein_residuals_reference_pair():
     spec = _reference_spec()
-    pack_g = curvature(metric_jet(spec, PTS, 2))
+    pack_g = curvature(metric_jet(spec, PTS))
     assert np.min(einstein_residual(pack_g)) > 1e-3
     h = MetricSpec.conformal_walker(parse_expr("1/v"), spec.a, spec.b, spec.c)
-    pack_h = curvature(metric_jet(h, PTS, 2))
+    pack_h = curvature(metric_jet(h, PTS))
     assert np.max(einstein_residual(pack_h)) < 1e-7
 
 
 def test_ricci_null_and_discriminant(walker_corpus):
     specs, pts = walker_corpus
     for spec in specs[:5]:
-        pack = curvature(metric_jet(spec, pts, 2))
+        pack = curvature(metric_jet(spec, pts))
         z = alpha_dist(T10, walker_tetrad(spec))
         assert np.max(ricci_null_residual(pack, z)) < 1e-7
         assert np.max(rps_discriminant(pack, z)) <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# implicit root differentiation
-
-
-def test_implicit_root_jet_reference():
-    spec = _reference_spec()
-    p0 = np.array([1.0, 2.0, 0.8, 1.2])
-    pack = curvature(metric_jet(spec, p0, 3))
-    q = weyl_quartic(pack, walker_tetrad(spec))["ASD"]
-    grad = implicit_root_jet(q, 2.0)  # root field v/u
-    assert grad[0] == pytest.approx(-2.0, rel=1e-6)
-    assert grad[1] == pytest.approx(1.0, rel=1e-6)
-    assert abs(grad[2]) < 1e-8 and abs(grad[3]) < 1e-8
-
-
-def test_implicit_root_jet_sd_root_stationary():
-    spec = _reference_spec()
-    p0 = np.array([1.0, 2.0, 0.8, 1.2])
-    pack = curvature(metric_jet(spec, p0, 3))
-    q = weyl_quartic(pack, walker_tetrad(spec))["SD"]
-    grad = implicit_root_jet(q, 0.0)
-    assert np.max(np.abs(grad)) < 1e-8
-
-
-def test_implicit_root_jet_constant_coefficients():
-    q = QuarticForm("ASD", np.array([0.0, 0.0, 1.0, -2.0, 1.0]), np.zeros((5, 4)), 10.0)
-    grad = implicit_root_jet(q, 0.0)  # double root at 0 of t^2 (t-1)^2
-    assert np.max(np.abs(grad)) == 0.0
-
-
-def test_implicit_root_jet_errors():
-    q = QuarticForm("ASD", np.array([6.0, -5.0, 1.0, 0.0, 0.0]), np.zeros((5, 4)), 10.0)
-    with pytest.raises(DegenerateRoot):
-        implicit_root_jet(q, 1.0)  # not a root of (t-2)(t-3)
-    q2 = QuarticForm("ASD", np.array([0.0] * 5), np.zeros((5, 4)), 10.0)
-    with pytest.raises(DegenerateRoot):
-        implicit_root_jet(q2, 0.0)
-    q3 = QuarticForm("ASD", np.array([1.0, 0, 0, 0, 0]), None, 10.0)
-    with pytest.raises(ValueError):
-        implicit_root_jet(q3, 0.0)
