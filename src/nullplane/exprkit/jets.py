@@ -153,7 +153,8 @@ def recip_coeffs(f: np.ndarray, order: int, num_scale=1.0) -> np.ndarray:
 
 
 def div_coeffs(a: np.ndarray, b: np.ndarray, order_a: int, order_b: int, order_out: int) -> np.ndarray:
-    scale = np.max(np.abs(a[..., 0, :])) if a.size else 1.0
+    # each point's numerator scale, so whether a point raises does not depend on its batch
+    scale = np.max(np.abs(a[..., 0, :]), axis=tuple(range(a.ndim - 2)), initial=0.0)
     rb = recip_coeffs(truncate_coeffs(b, order_b, order_out), order_out, num_scale=scale)
     return mul_coeffs(truncate_coeffs(a, order_a, order_out), rb, order_out, order_out, order_out)
 

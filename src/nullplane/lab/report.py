@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,106 +17,16 @@ from .. import __version__
 from ..weylalg import ROOT_KINDS, RootTable, root_type_string
 
 
-_escape = json.encoder.encode_basestring_ascii  # the string encoder of json.dumps
-_float_repr = float.__repr__
-_CONTAINERS = (list, tuple, dict)
 # Most values per piece of a record's text.  Pieces this short stay in
 # Python's small-object allocator, so the one large string a report makes is
-# its text, as with dumps_json; 1000 record strings of 2 kB each raised the
-# benchmark's peak RSS by 3-5 MB.
+# its text; 1000 record strings of 2 kB each raised the benchmark's peak RSS
+# by 3-5 MB.
 _RUN = 6
-
-
-class _Text:
-    """A value that dumps_json writes as it stands: text already laid out."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-def _atom(o) -> str:
-    """A scalar or an empty container as json.dumps writes it."""
-    if isinstance(o, float):  # np.float64 too
-        text = _float_repr(o)
-        if "n" in text:  # nan, inf, -inf
-            return "NaN" if o != o else ("Infinity" if o > 0 else "-Infinity")
-        return text
-    if isinstance(o, str):
-        return _escape(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, _CONTAINERS):  # write() takes the non-empty ones
-        return "{}" if isinstance(o, dict) else "[]"
-    if isinstance(o, _Text):
-        return o.text
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    """A dict key that is not a str, as json.dumps writes it."""
-    if isinstance(k, _CONTAINERS):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-    return _escape(_atom(k))
-
-
-def dumps_json(obj, depth: int = 0) -> str:
-    """The one JSON layout of every report and listing nullplane prints: the
-    bytes json.dumps writes with sorted keys and an indent of two spaces,
-    for obj nested depth levels deep.  With an indent, json.dumps runs its
-    pure-Python encoder; this writer keeps one string per line break and
-    depth, writes a scalar with its key and a list of floats in one
-    str.join, and joins all pieces once."""
-    out: list = []
-    put = out.append
-    breaks = ["\n" + "  " * d for d in range(depth + 1)]  # "\n" and two spaces per depth
-    seps = ["," + b for b in breaks]
-
-    def write(o, depth: int) -> None:  # o is a non-empty container
-        if depth + 1 == len(breaks):
-            breaks.append(breaks[-1] + "  ")
-            seps.append(seps[-1] + "  ")
-        inner, sep = breaks[depth + 1], seps[depth + 1]
-        if isinstance(o, dict):
-            lead = "{" + inner
-            for key, value in sorted(o.items()):
-                head = lead + (_escape(key) if isinstance(key, str) else _key(key)) + ": "
-                if isinstance(value, _CONTAINERS) and value:
-                    put(head)
-                    write(value, depth + 1)
-                else:
-                    put(head + _atom(value))
-                lead = sep
-            put(breaks[depth] + "}")
-            return
-        try:
-            text = sep.join(map(_float_repr, o))
-        except TypeError:  # not all floats: ints, bools, None, strings or containers
-            text = "n"
-        if "n" not in text:  # else not all floats, or nan, inf, -inf
-            put("[" + inner + text + breaks[depth] + "]")
-            return
-        lead = "[" + inner
-        for value in o:
-            if isinstance(value, _CONTAINERS) and value:
-                put(lead)
-                write(value, depth + 1)
-            else:
-                put(lead + _atom(value))
-            lead = sep
-        put(breaks[depth] + "]")
-
-    if not (isinstance(obj, _CONTAINERS) and obj):
-        return _atom(obj)
-    write(obj, depth)
-    return "".join(out)
+_SLOT_BASE = 10**20
+# slot i of a template, -(_SLOT_BASE + i), as json.dumps writes it: a raw
+# newline follows it and is in no JSON string, so no string can imitate it;
+# an integer can (see _filled)
+_SLOT = re.compile(r"-(1\d{20})(?=,?\n)")
 
 
 def _record(keys, at) -> dict:
@@ -139,11 +50,11 @@ def _record(keys, at) -> dict:
     return rec
 
 
-def _roots_record(code: int, kinds: list, mults: list, re: list, im: list) -> dict:
+def _roots_record(code: int, kinds: list, mults: list, real: list, imag: list) -> dict:
     """The roots part of a record from one row of a RootTable: its type
     code, and its entries' kind codes, multiplicities and value parts."""
     entries = []
-    for k, m, x, y in zip(kinds, mults, re, im):
+    for k, m, x, y in zip(kinds, mults, real, imag):
         if k >= 0:
             kind = ROOT_KINDS[k]
             value = x if kind == "real" else [x, y] if kind == "complex_pair" else None
@@ -156,30 +67,40 @@ def _root_records(table: RootTable) -> list:
     return [_roots_record(*row) for row in zip(*(a.tolist() for a in rows))]
 
 
-def _slot(i: int) -> _Text:
-    """Placeholder i of a template; dumps_json writes a NUL nowhere else, as
-    it escapes control characters."""
-    return _Text(f"\x00{i}\x00")
+def _slot(i: int) -> int:
+    """Placeholder i of a template: a negative integer.  The record and
+    roots templates hold no other integer below zero; a config echo can
+    (an integer box bound), which _filled checks for."""
+    return -(_SLOT_BASE + i)
+
+
+def _split(doc, depth: int) -> tuple:
+    """(pieces, order) of doc in the layout of every report, json.dumps with
+    sorted keys and an indent of two spaces, nested depth levels deep: doc
+    holds _slot(i) placeholders; pieces are the text around them and order
+    lists their i as the text meets them.  A JSON string holds no raw
+    newline, so shifting each line break shifts only the layout."""
+    text = json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+    parts = _SLOT.split(text)
+    return parts[0::2], [int(i) - _SLOT_BASE for i in parts[1::2]]
 
 
 def _layout(doc, depth: int) -> tuple:
-    """(pieces, order) of doc as dumps_json writes it at depth: doc holds
-    _slot(i) placeholders; pieces are the text around them, escaped for
-    %-formatting, and order lists their i as the text meets them."""
-    parts = dumps_json(doc, depth).split("\x00")
-    return [piece.replace("%", "%%") for piece in parts[0::2]], [int(i) for i in parts[1::2]]
+    """_split(doc, depth) with the pieces escaped for %-formatting."""
+    pieces, order = _split(doc, depth)
+    return [piece.replace("%", "%%") for piece in pieces], order
 
 
 def _as_written(col) -> list:
-    """col itself if %s writes each value as dumps_json does (all are
-    finite floats), else each value as dumps_json writes it."""
+    """col itself if %s writes each value as json.dumps does (all are
+    finite floats), else each value as json.dumps writes it."""
     if set(map(type, col)) <= {float} and math.isfinite(sum(col)):
         return col
-    return [_atom(v) for v in col]
+    return list(map(json.dumps, col))
 
 
 def _roots_json(table: RootTable, depth: int) -> list:
-    """Each point's roots part as dumps_json writes it at depth: one
+    """Each point's roots part as json.dumps lays it out at depth: one
     template per pattern of entry kinds and multiplicities."""
     texts = [""] * len(table)
     slots = [_slot(i) for i in range(8)]
@@ -195,7 +116,7 @@ def _roots_json(table: RootTable, depth: int) -> list:
         pieces, order = _layout(doc, depth)
         template = "%s".join(pieces)
         values = parts[np.ix_(rows, order)]
-        values = values.tolist() if np.all(np.isfinite(values)) else [list(map(_atom, v)) for v in values.tolist()]
+        values = values.tolist() if np.all(np.isfinite(values)) else [list(map(json.dumps, v)) for v in values.tolist()]
         for p, row in zip(rows.tolist(), values):
             texts[p] = template % tuple(row)
     return texts
@@ -241,10 +162,11 @@ class Report:
         return self._document(self.point_records, with_timestamp)
 
     def to_json(self, with_timestamp: bool = True) -> str:
-        return _filled(self._document(_slot(0), with_timestamp), [self._points_pieces(1)])
+        doc = self._document(_slot(0), with_timestamp)
+        return _filled(doc, [self._points_pieces(1)], lambda: self.to_dict(with_timestamp))
 
     def _points_pieces(self, depth: int) -> list:
-        """The points list as dumps_json writes it at depth, from the
+        """The points list as json.dumps lays it out at depth, from the
         columns, as pieces of text: each record's fixed part in runs of at
         most _RUN values, each run from one template, and its roots parts
         (see _roots_json)."""
@@ -292,7 +214,7 @@ class Report:
                     close()
                     template, run = "", []
         close()
-        head, sep, tail = dumps_json([_slot(0)] * 2, depth).split("\x000\x00")
+        (head, sep, tail), _ = _split([_slot(0)] * 2, depth)
         out = [head]
         for p, record in enumerate(zip(*streams)):
             if p:
@@ -323,17 +245,23 @@ class Report:
 
 
 def dumps_reports(reports: dict) -> str:
-    """{name: report} as dumps_json writes {name: report.to_dict()}, with
+    """{name: report} as json.dumps lays out {name: report.to_dict()}, with
     each report's points written from its columns."""
     docs = {name: r._document(_slot(i), True) for i, (name, r) in enumerate(reports.items())}
-    return _filled(docs, [r._points_pieces(2) for r in reports.values()])
+    parts = [r._points_pieces(2) for r in reports.values()]
+    return _filled(docs, parts, lambda: {name: r.to_dict() for name, r in reports.items()})
 
 
-def _filled(doc, parts: list) -> str:
-    """dumps_json(doc) with the pieces of text parts[i] in place of _slot(i)."""
-    text = dumps_json(doc).split("\x00")
-    out = [text[0]]
-    for i, literal in zip(text[1::2], text[2::2]):
-        out.extend(parts[int(i)])
+def _filled(doc, parts: list, whole) -> str:
+    """doc laid out by json.dumps, with the pieces of text parts[i] in place
+    of _slot(i).  Each slot is in the text once, so more slots found than
+    placed means a value of doc reads as one; then whole(), doc with the
+    records in place of the slots, is laid out instead."""
+    pieces, order = _split(doc, 0)
+    if len(order) != len(parts):
+        return json.dumps(whole(), sort_keys=True, indent=2)
+    out = [pieces[0]]
+    for i, literal in zip(order, pieces[1:]):
+        out.extend(parts[i])
         out.append(literal)
     return "".join(out)

@@ -10,6 +10,7 @@ natural scale of the compared quantity, "nonzero" means > 1e-3.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,7 +57,6 @@ from ..weylalg import (
     weyl_quartic,
 )
 from .config import TOL_NONZERO, TOL_ZERO, AnalysisConfig
-from .report import dumps_json
 
 _U, _V, _X, _Y = Var("u"), Var("v"), Var("x"), Var("y")
 
@@ -624,7 +624,7 @@ def selftest(output_format: str = "text") -> int:
     results = run_all()
     if output_format == "json":
         rows = [{"id": r.cid, "description": r.description, "passed": r.passed, "detail": r.detail} for r in results]
-        print(dumps_json(rows))
+        print(json.dumps(rows, sort_keys=True, indent=2))
     else:
         for r in results:
             print(r.line())

@@ -15,6 +15,7 @@ must agree; ``weyl_split`` asserts this instead of silently choosing one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,13 +45,22 @@ class DualOperator:
     """Star operator values at a point batch."""
 
     sign: float
-    eps_mixed: np.ndarray  # eps^{ef}_{cd} with first pair raised, (P,4,4,4,4)
+    sqrt_det: np.ndarray  # sqrt(det g), (P,)
+    g_inv: np.ndarray  # (P,4,4)
+
+    @cached_property
+    def eps_mixed(self) -> np.ndarray:
+        """eps^{ef}_{cd} with first pair raised, (P,4,4,4,4); built when a star method first runs."""
+        raised = np.einsum("pak,pbl,klcd->pabcd", self.g_inv, self.g_inv, _LC4)
+        return self.sign * (self.sqrt_det[:, None, None, None, None] * raised)
 
     def star_bivector(self, biv: np.ndarray) -> np.ndarray:
-        """Star of contravariant bivector values, shapes (4,4) or (P,4,4)."""
+        """Star of contravariant bivector values, shapes (4,4) or (P,4,4):
+        (s/2) sqrt(det g) g^-1 ([klcd] B^cd) g^-T, without eps_mixed."""
         single = biv.ndim == 2
         b = biv[None] if single else biv
-        out = 0.5 * np.einsum("pabcd,pcd->pab", self.eps_mixed, b)
+        eps_b = np.einsum("klcd,pcd->pkl", _LC4, b)
+        out = (0.5 * self.sign) * self.sqrt_det[:, None, None] * (self.g_inv @ eps_b @ np.swapaxes(self.g_inv, 1, 2))
         return out[0] if single else out
 
     def star_right(self, tensor: np.ndarray) -> np.ndarray:
@@ -71,23 +81,19 @@ def volume_and_duals(mj, tetrad) -> DualOperator:
     """
     from ..frames import _as_frame  # frames imports this package
 
-    g_inv = mj.g_inv_val
-    sqrt_det = np.sqrt(mj.det[0])
-    eps_mixed = sqrt_det[:, None, None, None, None] * np.einsum("pak,pbl,klcd->pabcd", g_inv, g_inv, _LC4)
-    dual = DualOperator(sign=1.0, eps_mixed=eps_mixed)
-
+    plus = DualOperator(sign=1.0, sqrt_det=np.sqrt(mj.det[0]), g_inv=mj.g_inv_val)
     frame = _as_frame(tetrad, mj.points)
     biv = np.moveaxis(frame.bases["SD"][0], -1, 0)  # values of l ^ mt, (P, 4, 4)
-    starred = dual.star_bivector(biv)
+    starred = plus.star_bivector(biv)
     norm = np.max(np.abs(biv), axis=(1, 2))
     if np.any(norm <= 0.0):
         raise CalibrationFailure("degenerate tetrad bivector l ^ mt")
     res_plus = np.max(np.abs(starred - biv), axis=(1, 2)) / norm
     res_minus = np.max(np.abs(-starred - biv), axis=(1, 2)) / norm
     if np.all(res_plus < 1e-8):
-        return dual
+        return plus
     if np.all(res_minus < 1e-8):
-        return DualOperator(sign=-1.0, eps_mixed=-eps_mixed)
+        return DualOperator(sign=-1.0, sqrt_det=plus.sqrt_det, g_inv=plus.g_inv)
     raise CalibrationFailure("l ^ mt is not a star eigenvector; tetrad or metric is inconsistent")
 
 

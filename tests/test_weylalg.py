@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nullplane.errors import CalibrationFailure, KindError
-from nullplane.exprkit import Num, eval_scalar, parse_expr, u, v, x, y
+from nullplane.exprkit import BinOp, Call, Neg, Num, Pow, Var, eval_scalar, parse_expr, u, v, x, y
 from nullplane.families import mk_cp_example
 from nullplane.frames import Frame, ProjParam, Tetrad, alpha_dist, walker_tetrad
 from nullplane.lab import load_spec_file
@@ -305,6 +305,65 @@ def test_conformal_law_on_the_whole_quartic():
             defect = np.max(np.abs(chi2[:, None] * got.coeffs - want.coeffs), axis=1)
             assert np.all(defect <= 1e-10 * want.scale), (i, side)
             assert np.array_equal(root_structure(got).type_code, root_structure(want).type_code), (i, side)
+
+
+_RELABEL = {"u": "v", "v": "u", "x": "y", "y": "x"}
+
+
+def _relabelled(e):
+    """e with u, v swapped and x, y swapped, walking the tree (a string
+    replacement would rename the y in exp)."""
+    if isinstance(e, Var):
+        return Var(_RELABEL[e.name])
+    if isinstance(e, Neg):
+        return Neg(_relabelled(e.arg))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _relabelled(e.lhs), _relabelled(e.rhs))
+    if isinstance(e, Pow):
+        return Pow(_relabelled(e.base), e.exponent)
+    if isinstance(e, Call):
+        return Call(e.func, _relabelled(e.arg))
+    return e
+
+
+def test_relabelling_law_on_the_whole_quartic():
+    """Metamorphic oracle: sigma swaps u <-> v and x <-> y, which keeps the
+    walker form and exchanges a and b, and reverses the orientation.  So
+    g' = walker(sigma b, sigma a, sigma c) at the relabelled points has the
+    same S, its SD coefficients are c_k(g) = (-1)^k c_k(g'), its ASD ones
+    c_k(g) = c_{4-k}(g'), and its root types are the same.  Run on random
+    walkers and on the constructed families."""
+    from nullplane.families import (
+        mk_left_flat,
+        mk_sd2015,
+        mk_sd_two_sided,
+        mk_two_sided,
+        random_polys,
+    )
+
+    specs = [MetricSpec.walker(*random_polys(76_000 + i, 2, ("u", "v", "x", "y"), 3)) for i in range(8)]
+    a, c = random_polys(76_100, 2, ("u", "x", "y"), 2)
+    specs += [
+        mk_sd2015(*random_polys(76_200, 2, ("x", "y"), 13)).spec,
+        mk_sd_two_sided(*random_polys(76_300, 2, ("x", "y"), 9)).spec,
+        mk_two_sided(a, random_polys(76_400, 2, ("u", "v", "x", "y"), 1)[0], c).spec,
+        mk_left_flat(X=x * y, Y=x + y**2, K5=x, K6=y, K7=x * y).spec,
+        mk_cp_example(x * y)[0].spec,
+    ]
+    signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+    for i, g in enumerate(specs):
+        h = MetricSpec.walker(_relabelled(g.b), _relabelled(g.a), _relabelled(g.c))
+        pts = sample_box(76_500 + i, 100)
+        pack_g, pack_h = curvature(metric_jet(g, pts)), curvature(metric_jet(h, pts[:, [1, 0, 3, 2]]))
+        assert np.all(np.abs(pack_h.scalar_val - pack_g.scalar_val) <= 1e-12 * pack_g.riemann_scale()), i
+        forms_g = weyl_quartic(pack_g, walker_tetrad(g))
+        forms_h = weyl_quartic(pack_h, walker_tetrad(h))
+        for side, law in (("SD", signs * forms_h["SD"].coeffs), ("ASD", forms_h["ASD"].coeffs[:, ::-1])):
+            want = forms_g[side]
+            defect = np.max(np.abs(law - want.coeffs), axis=1)
+            assert np.all(defect <= 1e-10 * np.maximum(want.scale, want.ref_scale)), (i, side)
+            got = root_structure(forms_h[side]).type_code
+            assert np.array_equal(got, root_structure(want).type_code), (i, side)
 
 
 # ---------------------------------------------------------------------------
