@@ -271,46 +271,98 @@ class Jet:
 
 def eval_jet(e: Expr, p, order: int = 3) -> Jet:
     """All raw partials of the expression at the point(s), to the given order."""
-    pts, _ = as_points(p)
-    check_finite_points(pts)
-    return Jet(order, _eval_coeffs(e, pts, order))
+    cache = JetCache.of(p)
+    check_finite_points(cache.points)
+    return Jet(order, cache.jet(e, order))
 
 
-def _eval_coeffs(e: Expr, pts: np.ndarray, order: int, known=None) -> np.ndarray:
-    """Jet (M, P) of the expression at the points.  ``known`` maps id(node)
-    to that node's jet at ``order``, already evaluated at these points; such
-    nodes are read, not evaluated again."""
-    if known is not None and id(e) in known:
-        return known[id(e)]
-    npts = pts.shape[0]
-    try:
+class ExprKeys:
+    """Structural keys of expression nodes, one per distinct tree, and each
+    key's ``uses``: its occurrences as a child of a distinct parent and
+    among ``roots``.  A Num's key holds its float's bits, so Num(0.0) and
+    Num(-0.0) stay apart.  A node's key is found again by its id, and the
+    table holds the node so that the id stays its own."""
+
+    def __init__(self, roots=()):
+        self._by_id, self._by_structure, self.uses = {}, {}, []
+        for e in roots:
+            self.uses[self.key(e)] += 1
+
+    def key(self, e: Expr) -> int:
+        hit = self._by_id.get(id(e))
+        if hit is not None:
+            return hit[0]
+        if not isinstance(e, (Num, Var, Neg, BinOp, Pow, Call)):
+            raise TypeError(f"cannot evaluate {type(e).__name__}")
         if isinstance(e, Num):
-            return const_coeffs(e.value, order, npts)
-        if isinstance(e, Var):
-            i = COORDS.index(e.name)
-            return coord_coeffs(i, pts[:, i], order)
-        if isinstance(e, Neg):
-            return -_eval_coeffs(e.arg, pts, order, known)
-        if isinstance(e, BinOp):
-            a = _eval_coeffs(e.lhs, pts, order, known)
-            b = _eval_coeffs(e.rhs, pts, order, known)
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return mul_coeffs(a, b, order, order, order)
-            return div_coeffs(a, b, order, order, order)
-        if isinstance(e, Pow):
-            base = _eval_coeffs(e.base, pts, order, known)
-            return pow_coeffs(base, e.exponent, order)
-        if isinstance(e, Call):
-            return func_coeffs(e.func, _eval_coeffs(e.arg, pts, order, known), order)
-    except DomainError as err:
-        if err.expr is None:
-            raise DomainError(str(err), expr=e) from None
-        raise
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+            structure = (Num, float(e.value).hex())
+        else:  # labels (op, exponent, ...) as strings, children as keys, one frame per tree level
+            structure = (type(e),)
+            for f in (getattr(e, name) for name in e.__slots__):
+                structure += (self.key(f) if isinstance(f, Expr) else str(f),)
+        k = self._by_structure.get(structure)
+        if k is None:
+            k = self._by_structure[structure] = len(self.uses)
+            self.uses.append(0)
+            for child in structure[1:]:
+                if isinstance(child, int):
+                    self.uses[child] += 1
+        self._by_id[id(e)] = (k, e)
+        return k
+
+
+class JetCache:
+    """Jets of expressions at one batch of points, each distinct node
+    evaluated at most once: it keeps the jets callers request and the nodes
+    ``keys`` counts more than once, and looks up every other subtree.  A
+    request at a lower order reads the first rows of a kept jet, since lower
+    Leibniz coefficients do not depend on the order a jet is truncated at.
+    Where points go, a cache reads as its points."""
+
+    def __init__(self, p, keys: ExprKeys | None = None):
+        self.points, self.single = as_points(p)
+        self.keys = ExprKeys() if keys is None else keys
+        self._kept: dict = {}  # key -> jet (M, P)
+
+    @staticmethod
+    def of(p) -> "JetCache":
+        """p itself if it is a JetCache, else a new cache at the point(s) p."""
+        return p if isinstance(p, JetCache) else JetCache(p)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.points, dtype=dtype, copy=copy)
+
+    def jet(self, e: Expr, order: int, requested: bool = True) -> np.ndarray:
+        """Jet (M, P) of the expression at the cache's points."""
+        k = self.keys.key(e)
+        kept = self._kept.get(k)
+        if kept is not None and kept.shape[0] >= n_coeffs(order):
+            return kept[: n_coeffs(order)]
+        try:
+            if isinstance(e, Num):
+                out = const_coeffs(e.value, order, self.points.shape[0])
+            elif isinstance(e, Var):
+                i = COORDS.index(e.name)
+                out = coord_coeffs(i, self.points[:, i], order)
+            elif isinstance(e, Neg):
+                out = -self.jet(e.arg, order, False)
+            elif isinstance(e, Pow):
+                out = pow_coeffs(self.jet(e.base, order, False), e.exponent, order)
+            elif isinstance(e, Call):
+                out = func_coeffs(e.func, self.jet(e.arg, order, False), order)
+            else:
+                a, b = self.jet(e.lhs, order, False), self.jet(e.rhs, order, False)
+                if e.op in ("+", "-"):
+                    out = a + b if e.op == "+" else a - b
+                else:
+                    out = (mul_coeffs if e.op == "*" else div_coeffs)(a, b, order, order, order)
+        except DomainError as err:
+            if err.expr is None:
+                raise DomainError(str(err), expr=e) from None
+            raise
+        if requested or self.keys.uses[k] > 1:
+            self._kept[k] = out
+        return out
 
 
 _NP_FUNCS = {"exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh}

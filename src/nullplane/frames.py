@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateParam, KindError, RankDeficient
 from .exprkit.ast import Expr, Num, as_expr
 from .exprkit.calculus import add_, div_, mul_, neg_
-from .exprkit.jets import as_points, deriv_coeffs, _eval_coeffs
+from .exprkit.jets import JetCache, deriv_coeffs
 from .tensor.curvature import christoffel
 from .tensor.metric import CONFORMAL_WALKER, WALKER, MetricJet, MetricSpec, metric_jet
 
@@ -56,8 +56,8 @@ class ProjParam:
         return ProjParam(as_expr(t0), as_expr(t1))
 
     def values(self, p) -> np.ndarray:
-        pts, _ = as_points(p)
-        return _t_values(_eval_coeffs(self.t0, pts, 0)[0], _eval_coeffs(self.t1, pts, 0)[0], pts)
+        cache = JetCache.of(p)
+        return _t_values(cache.jet(self.t0, 0)[0], cache.jet(self.t1, 0)[0], cache.points)
 
 
 def _at_point(error: type, reason: str, pts: np.ndarray, row: int) -> Exception:
@@ -106,35 +106,28 @@ def _bivector_bases(vecs: dict) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """A tetrad, and optionally a t-field, at a batch of points, with each
-    component expression evaluated once for every consumer.
+    """A tetrad, and optionally a t-field, at a batch of points.
 
-    ``jets`` maps id(component) to its first-order jet (5, P); the
-    generators read their first partials from it as known nodes of their
-    expression trees.  Holding the tetrad and the t-field keeps those ids
-    valid.  ``vecs`` holds the four tetrad vectors (4, 5, P), ``bases`` the
-    values of the SD and ASD bivector bases.
+    Their component jets are evaluated at order 1 into ``cache``, where the
+    generators read them again.  ``vecs`` holds the four tetrad vectors
+    (4, 5, P), ``bases`` the values of the SD and ASD bivector bases.
     """
 
     tetrad: Tetrad
     t_field: Optional[ProjParam]
-    points: np.ndarray
-    jets: dict
+    cache: JetCache
     vecs: dict
     bases: dict
 
     @staticmethod
-    def of(tet: Tetrad, pts: np.ndarray, t_field: Optional[ProjParam] = None) -> "Frame":
-        comps = [comp for vec in tet.vectors().values() for comp in vec]
-        if t_field is not None:
-            comps += [t_field.t0, t_field.t1]
-        jets: dict = {}
-        for comp in comps:
-            if id(comp) not in jets:
-                jets[id(comp)] = _eval_coeffs(comp, pts, 1)
-        vecs = {name: np.stack([jets[id(comp)] for comp in vec]) for name, vec in tet.vectors().items()}
+    def of(tet: Tetrad, p, t_field: Optional[ProjParam] = None) -> "Frame":
+        """The frame at the point(s) p, which may be a JetCache."""
+        cache = JetCache.of(p)
+        vecs = {name: np.stack([cache.jet(comp, 1) for comp in vec]) for name, vec in tet.vectors().items()}
+        for comp in () if t_field is None else (t_field.t0, t_field.t1):
+            cache.jet(comp, 1)  # t_values and the generators read these
         bases = _bivector_bases({name: vec[:, 0, :] for name, vec in vecs.items()})
-        return Frame(tet, t_field, pts, jets, vecs, bases)
+        return Frame(tet, t_field, cache, vecs, bases)
 
     def values(self, name: str) -> np.ndarray:
         """Values (4, P) of the tetrad vector ``name``."""
@@ -142,13 +135,12 @@ class Frame:
 
     def t_values(self) -> np.ndarray:
         """The t-field values (2, P), checked as ProjParam.values does."""
-        t0, t1 = (self.jets[id(comp)][0] for comp in (self.t_field.t0, self.t_field.t1))
-        return _t_values(t0, t1, self.points)
+        return self.t_field.values(self.cache)
 
 
-def _as_frame(tet, pts: np.ndarray) -> Frame:
-    """tet itself if it is a Frame, else a new Frame of the Tetrad at the points."""
-    return tet if isinstance(tet, Frame) else Frame.of(tet, pts)
+def _as_frame(tet, p) -> Frame:
+    """tet itself if it is a Frame, else a new Frame of the Tetrad at p."""
+    return tet if isinstance(tet, Frame) else Frame.of(tet, p)
 
 
 def walker_tetrad(spec: MetricSpec) -> Tetrad:
@@ -214,16 +206,16 @@ def _gram(g_val: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def metric_pairings(spec: MetricSpec, vectors: Sequence, p) -> np.ndarray:
     """Gram matrix g(X_i, X_j) of expression vector fields at the point(s)."""
-    pts, single = as_points(p)
-    vals = np.stack([[_eval_coeffs(comp, pts, 0)[0] for comp in vec] for vec in vectors])
-    gram = _gram(metric_jet(spec, pts).g_val, vals)
-    return gram[..., 0] if single else gram
+    cache = JetCache.of(p)
+    vals = np.stack([[cache.jet(comp, 0)[0] for comp in vec] for vec in vectors])
+    gram = _gram(metric_jet(spec, cache).g_val, vals)
+    return gram[..., 0] if cache.single else gram
 
 
 def _tetrad_defects(mj: MetricJet, tet) -> np.ndarray:
     """Per-point max deviation of the ten tetrad pairings from their target
     values; shape (P,).  tet is a Tetrad or a Frame at the jet's points."""
-    frame = _as_frame(tet, mj.points)
+    frame = _as_frame(tet, mj.cache)
     gram = _gram(mj.g_val, np.stack([frame.values(name) for name in ("l", "n", "m", "mt")]))
     target = np.zeros_like(gram)
     target[0, 1] = target[1, 0] = 1.0
@@ -250,16 +242,15 @@ def _check_rank(vals: np.ndarray, pts: np.ndarray) -> None:
         raise _at_point(RankDeficient, f"generators have rank < {k}", pts, bad[0])
 
 
-def _generators(dist: Distribution, pts: np.ndarray, frame: Optional[Frame] = None) -> tuple:
+def _generators(dist: Distribution, p) -> tuple:
     """One evaluation of the generators at order 1, shared by all residuals:
     values (k,4,P), first partials (k, comp, deriv, P), Euclidean norms
     (k,P), and the projector (P,4,4) onto the Euclidean complement of the
-    span, after a rank check.  With a frame of the tetrad and t-field the
-    distribution was built from, their component nodes are read from it."""
-    known = None if frame is None else frame.jets
-    jets = np.stack([[_eval_coeffs(comp, pts, 1, known) for comp in vec] for vec in dist.generators])
+    span, after a rank check.  p is the points or a JetCache."""
+    cache = JetCache.of(p)
+    jets = np.stack([[cache.jet(comp, 1) for comp in vec] for vec in dist.generators])
     vals = jets[..., 0, :]
-    _check_rank(vals, pts)
+    _check_rank(vals, cache.points)
     q, _ = np.linalg.qr(vals.transpose(2, 1, 0))  # (P,4,k)
     proj_off = np.eye(4) - q @ q.swapaxes(1, 2)
     return vals, deriv_coeffs(jets, 1)[..., 0, :], np.linalg.norm(vals, axis=1), proj_off
@@ -324,23 +315,23 @@ def _parallel_batch(gen: tuple, gamma: np.ndarray) -> np.ndarray:
 
 def frobenius_residual(dist: Distribution, p) -> float:
     """0 iff the span is involutive (closed under Lie brackets) at p."""
-    pts, single = as_points(p)
-    out = np.zeros(pts.shape[0]) if dist.rank == 1 else _frobenius_batch(_generators(dist, pts))
-    return float(out[0]) if single else out
+    cache = JetCache.of(p)
+    out = np.zeros(cache.points.shape[0]) if dist.rank == 1 else _frobenius_batch(_generators(dist, cache))
+    return float(out[0]) if cache.single else out
 
 
 def autoparallel_residual(spec: MetricSpec, dist: Distribution, p) -> float:
     """0 iff covariant derivatives along the span stay in the span at p."""
-    pts, single = as_points(p)
-    gamma = christoffel(metric_jet(spec, pts)).gamma[..., 0, :]
-    out = _autoparallel_batch(_generators(dist, pts), gamma)
-    return float(out[0]) if single else out
+    cache = JetCache.of(p)
+    gamma = christoffel(metric_jet(spec, cache)).gamma[..., 0, :]
+    out = _autoparallel_batch(_generators(dist, cache), gamma)
+    return float(out[0]) if cache.single else out
 
 
 def parallel_residual(spec: MetricSpec, dist: Distribution, p) -> float:
     """0 iff covariant derivatives in every coordinate direction stay in
     the span at p."""
-    pts, single = as_points(p)
-    gamma = christoffel(metric_jet(spec, pts)).gamma[..., 0, :]
-    out = _parallel_batch(_generators(dist, pts), gamma)
-    return float(out[0]) if single else out
+    cache = JetCache.of(p)
+    gamma = christoffel(metric_jet(spec, cache)).gamma[..., 0, :]
+    out = _parallel_batch(_generators(dist, cache), gamma)
+    return float(out[0]) if cache.single else out

@@ -9,6 +9,7 @@ from math import comb
 import numpy as np
 
 from ..errors import DegenerateParam, DomainError, NullplaneError, RankDeficient, SingularMetric
+from ..exprkit.jets import ExprKeys, JetCache
 from ..frames import (
     Frame,
     ProjParam,
@@ -52,18 +53,18 @@ def _where(pts: np.ndarray, i: int, offset: int, stage: str) -> str:
     return f" [at sample {offset + i}, stage {stage}] [at point {pts[i].tolist()}]"
 
 
-def _attribute_point(evaluate, pts: np.ndarray, offset: int, stage: str, at_one=None):
-    """evaluate(pts); if it fails with a DomainError or SingularMetric,
-    at_one (by default evaluate) is run point by point and the error names
-    the first failing sample."""
+def _attribute_point(evaluate, cache: JetCache, offset: int, stage: str, at_one=None):
+    """evaluate(cache); if it fails with a DomainError or SingularMetric,
+    at_one (by default evaluate) is run point by point, each point with a
+    cache of its own, and the error names the first failing sample."""
     try:
-        return evaluate(pts)
+        return evaluate(cache)
     except (DomainError, SingularMetric) as err:
-        for i in range(pts.shape[0]):
+        for i, point in enumerate(cache.points):
             try:
-                (at_one or evaluate)(pts[i : i + 1])
+                (at_one or evaluate)(JetCache(point[None], cache.keys))
             except (DomainError, SingularMetric) as single_err:
-                raise err.__class__(f"{single_err}{_where(pts, i, offset, stage)}") from err
+                raise err.__class__(f"{single_err}{_where(cache.points, i, offset, stage)}") from err
         raise
 
 
@@ -105,12 +106,36 @@ def _double_root_defect(coeffs: np.ndarray, tvals: np.ndarray, zero_form: np.nda
     return np.where(zero_form, 0.0, np.maximum(np.abs(dq0), np.abs(dq1)) / scale)
 
 
-def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0) -> dict:
+def _analysis_exprs(cfg: AnalysisConfig) -> tuple:
+    """What every chunk evaluates, built once per analysis: the tetrad (None
+    without frames), its distributions, a conformal_walker's walker-part
+    tetrad, and the structural keys of these and the metric (see ExprKeys)."""
+    spec = cfg.spec
+    walker_kind = spec.kind in (WALKER, CONFORMAL_WALKER)
+    try:
+        tet = walker_tetrad(spec) if walker_kind else cfg.tetrad
+    except ZeroDivisionError:  # chi is a constant zero, which the metric stage rejects at every point
+        return None, {}, None, ExprKeys()
+    wtet = walker_tetrad(spec.walker_part()) if spec.kind == CONFORMAL_WALKER else None
+    t = cfg.t_field
+    dists = {} if tet is None else {
+        "D": dist_D(t, tet), "Z": alpha_dist(ProjParam.of(1, 0), tet), "W": beta_dist(t, tet), "H": dist_H(t, tet)
+    }
+    vectors = [vec for tetrad in (tet, wtet) if tetrad is not None for vec in tetrad.vectors().values()]
+    vectors += [vec for dist in dists.values() for vec in dist.generators]
+    rows = (spec.walker_part() if walker_kind else spec).component_exprs() + [[spec.chi, t.t0, t.t1]]
+    return tet, dists, wtet, ExprKeys(e for vec in rows + vectors for e in vec if e is not None)
+
+
+def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0, exprs=None) -> dict:
     """Per-point columns of one chunk: each is an array or a list whose
     first axis is the point.  The residuals are keyed (distribution, kind).
-    offset is the global sample index of pts[0], which errors name."""
+    offset is the global sample index of pts[0], which errors name.  exprs
+    is _analysis_exprs(cfg); every consumer evaluates in one JetCache."""
     spec = cfg.spec
-    mj = _attribute_point(lambda p: metric_jet(spec, p), pts, offset, "metric")
+    tet, dists, wtet, keys = exprs or _analysis_exprs(cfg)
+    cache = JetCache(pts, keys)
+    mj = _attribute_point(lambda c: metric_jet(spec, c), cache, offset, "metric")
     pack = curvature(mj)
 
     out: dict = {
@@ -120,13 +145,8 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0) 
         "riemann_scale": pack.riemann_scale(),
     }
 
-    tet = cfg.tetrad
-    if spec.kind in (WALKER, CONFORMAL_WALKER):
-        tet = walker_tetrad(spec)
-
     if tet is not None:
-        # the one evaluation of the tetrad and the t-field in this chunk
-        frame = _attribute_point(lambda p: Frame.of(tet, p, cfg.t_field), pts, offset, "frame")
+        frame = _attribute_point(lambda c: Frame.of(tet, c, cfg.t_field), cache, offset, "frame")
         # each point's tolerance is at least TOL_ZERO, so a smaller maximum passes all
         if tetrad_max_defect(mj, frame) > TOL_ZERO:
             defects = _tetrad_defects(mj, frame)
@@ -141,15 +161,8 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0) 
 
         volume_and_duals(mj, frame)  # orientation calibration check
 
-        dists = {
-            "D": dist_D(cfg.t_field, tet),
-            "Z": alpha_dist(ProjParam.of(1, 0), tet),
-            "W": beta_dist(cfg.t_field, tet),
-            "H": dist_H(cfg.t_field, tet),
-        }
-
         def t_field_and_generators():
-            return frame.t_values(), {name: _generators(dist, pts, frame) for name, dist in dists.items()}
+            return frame.t_values(), {name: _generators(dist, cache) for name, dist in dists.items()}
 
         tvals, gens = _attribute_row(t_field_and_generators, pts, offset, "generators")  # tvals (2, P)
         forms = weyl_quartic(pack, frame)
@@ -177,13 +190,13 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0) 
             wasd_coeffs = out["ASD_coeffs"]
         else:
             wp = spec.walker_part()
-            wpack = curvature(_attribute_point(lambda p: metric_jet(wp, p), pts, offset, "walker_part"))
-            wasd_coeffs = weyl_quartic(wpack, walker_tetrad(wp))["ASD"].coeffs
+            wpack = curvature(_attribute_point(lambda c: metric_jet(wp, c), cache, offset, "walker_part"))
+            wasd_coeffs = weyl_quartic(wpack, wtet)["ASD"].coeffs
             # the box of chi reads the walker part's connection from its pack
             out["box_chi_generic"] = _attribute_point(
-                lambda p: box_scalar(wpack, spec.chi), pts, offset, "box", lambda p: box_scalar(wp, spec.chi, p)
+                lambda c: box_scalar(wpack, spec.chi), cache, offset, "box", lambda c: box_scalar(wp, spec.chi, c)
             )
-            out["box_chi_closed"] = walker_box_closed_form(wp.a, wp.b, wp.c, spec.chi, pts)
+            out["box_chi_closed"] = walker_box_closed_form(wp.a, wp.b, wp.c, spec.chi, cache)
         c2_raw = wasd_coeffs[:, 2]
         c2_adapted = _adapted_middle_coeff(wasd_coeffs, tvals)
         out["obstruction"] = c2_raw / (6.0 * kappa.value) - wpack.scalar_val / 12.0
@@ -204,12 +217,13 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     walker_kind = cfg.spec.kind in (WALKER, CONFORMAL_WALKER)
     kappa = default_kappa() if walker_kind else None
 
+    exprs = _analysis_exprs(cfg)
     parts = np.array_split(pts, -(-pts.shape[0] // _CHUNK_POINTS))
     starts = accumulate(map(len, parts), initial=0)  # global index of each part's first sample
     # numpy sums a one-point batch in another order than a larger one, so a
     # lone point is analysed as two copies and keeps the first
     chunks = [
-        _chunk_arrays(cfg, np.repeat(part, 2, axis=0) if len(part) == 1 else part, kappa, start)
+        _chunk_arrays(cfg, np.repeat(part, 2, axis=0) if len(part) == 1 else part, kappa, start, exprs)
         for part, start in zip(parts, starts)
     ]
     data = {key: _concat([chunk[key][: len(part)] for part, chunk in zip(parts, chunks)]) for key in chunks[0]}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -25,6 +26,7 @@ from .report import Report, dumps_reports
 from .selftest import selftest
 
 
+@functools.cache  # built once per process; parse_args does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nullplane", description="Walker-form neutral 4-metric analyzer")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..exprkit.ast import Expr, as_expr
-from ..exprkit.jets import as_points, deriv_coeffs, mul_coeffs, _eval_coeffs
+from ..exprkit.jets import JetCache, deriv_coeffs, mul_coeffs
 from .metric import MetricJet, MetricSpec, metric_jet
 
 
@@ -135,13 +135,13 @@ def covariant_derivative(spec: MetricSpec, field, direction, p) -> np.ndarray:
     4-vector (constant direction).  Returns shape (4,) or (4, P).
     """
     pack = christoffel(metric_jet(spec, p))
-    pts = pack.points
-    npts = pts.shape[0]
-    yj = np.stack([_eval_coeffs(as_expr(comp), pts, 1) for comp in field])  # (4, M1, P)
+    cache = pack.mj.cache
+    npts = cache.points.shape[0]
+    yj = np.stack([cache.jet(as_expr(comp), 1) for comp in field])  # (4, M1, P)
     yval = yj[:, 0, :]
     dy = deriv_coeffs(yj, 1)[:, :, 0, :]  # (4 comp, 4 deriv, P)
     if isinstance(direction, (list, tuple)) and any(isinstance(d, Expr) for d in direction):
-        xval = np.stack([_eval_coeffs(as_expr(comp), pts, 0)[0] for comp in direction])
+        xval = np.stack([cache.jet(as_expr(comp), 0)[0] for comp in direction])
     else:
         arr = np.asarray(direction, dtype=float)
         if arr.shape == (4,):
@@ -159,11 +159,11 @@ def covariant_derivative(spec: MetricSpec, field, direction, p) -> np.ndarray:
 def box_scalar(metric: MetricSpec | CurvaturePack, chi, p=None) -> float | np.ndarray:
     """Wave operator g^{ab} nabla_a nabla_b chi, computed from the generic
     connection (any metric kind).  metric is a MetricSpec, evaluated at the
-    point(s) p, or a CurvaturePack, whose connection and points are used."""
+    point(s) p, or a CurvaturePack, whose connection and jet cache are used."""
     chi = as_expr(chi)
     pack = metric if isinstance(metric, CurvaturePack) else christoffel(metric_jet(metric, p))
     mj = pack.mj
-    cj = _eval_coeffs(chi, mj.points, 2)
+    cj = mj.cache.jet(chi, 2)
     hess = deriv_coeffs(deriv_coeffs(cj, 2), 1)[..., 0, :]  # (4,4,P): d_a d_b chi
     grad = deriv_coeffs(cj, 2)[:, 0, :]  # (4,P)
     ginv = np.moveaxis(mj.g_inv[:, :, 0, :], -1, 0)  # (P,4,4)
@@ -179,14 +179,10 @@ def walker_box_closed_form(a, b, c, chi, p) -> float | np.ndarray:
     box chi = -a chi_uu - 2c chi_uv - b chi_vv + 2 chi_ux + 2 chi_vy
               - (a_u + c_v) chi_u - (b_v + c_u) chi_v
     """
-    pts, single = as_points(p)
-    aj = _eval_coeffs(as_expr(a), pts, 1)
-    bj = _eval_coeffs(as_expr(b), pts, 1)
-    cj = _eval_coeffs(as_expr(c), pts, 1)
-    xj = _eval_coeffs(as_expr(chi), pts, 2)
-    da = deriv_coeffs(aj, 1)[:, 0, :]
-    db = deriv_coeffs(bj, 1)[:, 0, :]
-    dc = deriv_coeffs(cj, 1)[:, 0, :]
+    cache = JetCache.of(p)
+    aj, bj, cj = (cache.jet(as_expr(e), 1) for e in (a, b, c))
+    xj = cache.jet(as_expr(chi), 2)
+    da, db, dc = (deriv_coeffs(j, 1)[:, 0, :] for j in (aj, bj, cj))
     dchi = deriv_coeffs(xj, 2)  # (4, M1, P)
     grad = dchi[:, 0, :]
     hess = deriv_coeffs(dchi, 1)[:, :, 0, :]  # (4,4,P)
@@ -199,4 +195,4 @@ def walker_box_closed_form(a, b, c, chi, p) -> float | np.ndarray:
         - (da[0] + dc[1]) * grad[0]
         - (db[1] + dc[0]) * grad[1]
     )
-    return float(out[0]) if single else out
+    return float(out[0]) if cache.single else out

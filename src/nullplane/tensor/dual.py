@@ -82,7 +82,7 @@ def volume_and_duals(mj, tetrad) -> DualOperator:
     from ..frames import _as_frame  # frames imports this package
 
     plus = DualOperator(sign=1.0, sqrt_det=np.sqrt(mj.det[0]), g_inv=mj.g_inv_val)
-    frame = _as_frame(tetrad, mj.points)
+    frame = _as_frame(tetrad, mj.cache)
     biv = np.moveaxis(frame.bases["SD"][0], -1, 0)  # values of l ^ mt, (P, 4, 4)
     starred = plus.star_bivector(biv)
     norm = np.max(np.abs(biv), axis=(1, 2))

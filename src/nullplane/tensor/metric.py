@@ -20,17 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import DomainError, KindError, SingularMetric
-from ..exprkit.ast import Expr, Num, as_expr
+from ..exprkit.ast import ONE, ZERO, Expr, as_expr
 from ..exprkit.calculus import mul_, pow_
-from ..exprkit.jets import (
-    as_points,
-    check_finite_points,
-    div_coeffs,
-    mul_coeffs,
-    n_coeffs,
-    truncate_coeffs,
-    _eval_coeffs,
-)
+from ..exprkit.jets import JetCache, check_finite_points, div_coeffs, mul_coeffs, n_coeffs, truncate_coeffs
 
 WALKER = "walker"
 CONFORMAL_WALKER = "conformal_walker"
@@ -73,12 +65,11 @@ class MetricSpec:
     def component_exprs(self) -> list:
         if self.kind == GENERAL:
             return [list(row) for row in self.components]
-        zero, one = Num(0.0), Num(1.0)
         rows = [
-            [zero, zero, one, zero],
-            [zero, zero, zero, one],
-            [one, zero, self.a, self.c],
-            [zero, one, self.c, self.b],
+            [ZERO, ZERO, ONE, ZERO],
+            [ZERO, ZERO, ZERO, ONE],
+            [ONE, ZERO, self.a, self.c],
+            [ZERO, ONE, self.c, self.b],
         ]
         if self.kind == CONFORMAL_WALKER:
             chi2 = pow_(self.chi, 2)
@@ -134,15 +125,14 @@ class MetricJet:
     connection and the curvature read."""
 
     spec: MetricSpec
-    points: np.ndarray  # (P, 4)
-    single: bool
+    cache: JetCache  # the points and the jets of the expressions evaluated there
     g: np.ndarray  # (4, 4, 15, P), the partials to order 2
     g_inv: np.ndarray  # (4, 4, 5, P), the partials to order 1
     det: np.ndarray  # (5, P)
 
-    @property
-    def npoints(self) -> int:
-        return self.points.shape[0]
+    points = property(lambda self: self.cache.points)  # (P, 4)
+    single = property(lambda self: self.cache.single)
+    npoints = property(lambda self: self.points.shape[0])
 
     @property
     def g_val(self) -> np.ndarray:  # (P, 4, 4)
@@ -155,34 +145,25 @@ class MetricJet:
 
 def metric_jet(spec: MetricSpec, p) -> MetricJet:
     """Evaluate the metric and its partials to second order at the point(s),
-    and its inverse and determinant to first order."""
-    pts, single = as_points(p)
-    check_finite_points(pts)
-    npts = pts.shape[0]
+    and its inverse and determinant to first order.  p may be a JetCache."""
+    cache = JetCache.of(p)
+    check_finite_points(cache.points)
     order = 2
     M = n_coeffs(order)
 
-    g = np.zeros((4, 4, M, npts))
-    if spec.kind in (WALKER, CONFORMAL_WALKER):
-        base = spec.walker_part().component_exprs()
-        for i in range(4):
-            for j in range(i, 4):
-                g[i, j] = _eval_coeffs(base[i][j], pts, order)
-                g[j, i] = g[i, j]
-        if spec.kind == CONFORMAL_WALKER:
-            chi = _eval_coeffs(spec.chi, pts, order)
-            if np.any(chi[0] <= 0.0):
-                raise DomainError("conformal factor must be positive on the sample box", expr=spec.chi)
-            chi2 = mul_coeffs(chi, chi, order, order, order)
-            g = mul_coeffs(chi2[None, None], g, order, order, order)
-    elif spec.kind == GENERAL:
-        comps = spec.component_exprs()
-        for i in range(4):
-            for j in range(i, 4):
-                g[i, j] = _eval_coeffs(comps[i][j], pts, order)
-                g[j, i] = g[i, j]
-    else:
+    if spec.kind not in (WALKER, CONFORMAL_WALKER, GENERAL):
         raise KindError(f"unknown metric kind {spec.kind!r}")
+    comps = (spec if spec.kind == GENERAL else spec.walker_part()).component_exprs()
+    g = np.zeros((4, 4, M, cache.points.shape[0]))
+    for i in range(4):
+        for j in range(i, 4):
+            g[i, j] = g[j, i] = cache.jet(comps[i][j], order)
+    if spec.kind == CONFORMAL_WALKER:
+        chi = cache.jet(spec.chi, order)
+        if np.any(chi[0] <= 0.0):
+            raise DomainError("conformal factor must be positive on the sample box", expr=spec.chi)
+        chi2 = mul_coeffs(chi, chi, order, order, order)
+        g = mul_coeffs(chi2[None, None], g, order, order, order)
 
     g_val = np.moveaxis(g[:, :, 0, :], -1, 0)
     eigs = np.linalg.eigvalsh(g_val)
@@ -201,4 +182,4 @@ def metric_jet(spec: MetricSpec, p) -> MetricJet:
     if np.max(np.abs(ident - np.eye(4))) > 1e-9:
         raise SingularMetric("inverse check failed (ill-conditioned metric)")
 
-    return MetricJet(spec=spec, points=pts, single=single, g=g, g_inv=g_inv, det=det)
+    return MetricJet(spec=spec, cache=cache, g=g, g_inv=g_inv, det=det)

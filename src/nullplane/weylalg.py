@@ -31,7 +31,6 @@ import numpy as np
 from .errors import CalibrationFailure, KindError, RankDeficient
 from .exprkit.ast import Num, u as _u, v as _v
 from .exprkit.calculus import diff_expr, is_zero_expr
-from .exprkit.jets import as_points
 from .frames import Distribution, walker_tetrad, _as_frame, _generators
 from .tensor.curvature import CurvaturePack, curvature
 from .tensor.metric import WALKER, MetricSpec, metric_jet
@@ -94,7 +93,7 @@ def weyl_quartic(pack: CurvaturePack, tet) -> dict:
     bases, which is the magnitude the coefficients would have if the
     relevant Weyl part were generic.
     """
-    bases = _as_frame(tet, pack.points).bases
+    bases = _as_frame(tet, pack.mj.cache).bases
     pairings = {}
     for side, basis in bases.items():
         # C(b_i, .) once per basis element, then paired with b_j for j >= i
@@ -308,8 +307,7 @@ def calibrate_kappa(spec: MetricSpec, points) -> CalibrationConstant:
         raise CalibrationFailure("calibration runs on walker-kind metrics")
     if not (is_zero_expr(diff_expr(spec.a, "v")) and is_zero_expr(diff_expr(spec.c, "v"))):
         raise CalibrationFailure("calibration instance must have a and c independent of v")
-    pts, _ = as_points(points)
-    pack = curvature(metric_jet(spec, pts))
+    pack = curvature(metric_jet(spec, points))
     tet = walker_tetrad(spec)
     s_vals = pack.scalar_val
     if np.all(np.abs(s_vals) < 1e-8):
@@ -360,11 +358,10 @@ def obstruction_residual(spec: MetricSpec, p):
     the package-wide calibration constant."""
     if spec.kind != WALKER:
         raise KindError("the obstruction is evaluated in the walker gauge")
-    pts, single = as_points(p)
-    pack = curvature(metric_jet(spec, pts))
+    pack = curvature(metric_jet(spec, p))
     c2 = weyl_quartic(pack, walker_tetrad(spec))["ASD"].coeffs[..., 2]
     out = c2 / (6.0 * default_kappa().value) - pack.scalar_val / 12.0
-    return float(out[0]) if single else out
+    return float(out[0]) if pack.mj.single else out
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +404,7 @@ def _rps_of(m: np.ndarray, den: np.ndarray) -> np.ndarray:
 def ricci_null_residual(pack: CurvaturePack, zdist: Distribution):
     """max |E(X, Y)| over the distribution's generators, normalized; 0 iff
     the trace-free Ricci form vanishes on the plane."""
-    out = _ricci_null_of(*_e_restricted(pack, _generators(zdist, pack.points)[0]))
+    out = _ricci_null_of(*_e_restricted(pack, _generators(zdist, pack.mj.cache)[0]))
     return float(out[0]) if pack.mj.single else out
 
 
@@ -416,5 +413,5 @@ def rps_discriminant(pack: CurvaturePack, zdist: Distribution):
     direction of the trace-free Ricci form on the plane exists iff <= 0."""
     if zdist.rank != 2:
         raise RankDeficient("rps_discriminant needs a 2-plane distribution")
-    out = _rps_of(*_e_restricted(pack, _generators(zdist, pack.points)[0]))
+    out = _rps_of(*_e_restricted(pack, _generators(zdist, pack.mj.cache)[0]))
     return float(out[0]) if pack.mj.single else out

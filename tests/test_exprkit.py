@@ -188,6 +188,57 @@ def test_mul_coeffs_single_point_matches_batch():
         np.testing.assert_array_equal(mul_coeffs(a[:, i : i + 1], b[:, i : i + 1], 3, 3, 3), batch[:, i : i + 1])
 
 
+def test_jet_truncation_law_on_random_corpus():
+    """Lower Leibniz coefficients do not depend on the order a jet is
+    truncated at: the jet cache reads an order-0 or order-1 request from
+    the first rows of a kept order-2 jet.  Each order here is evaluated on
+    its own, and the rows must agree bit for bit."""
+    rng = np.random.default_rng(2024)
+    pts = rng.uniform(0.5, 1.5, (20, 4))
+    evaluated = 0
+    for _ in range(200):
+        e = random_expr(rng)
+        try:
+            with np.errstate(all="ignore"):
+                j0, j1, j2 = (eval_jet(e, pts, order).coeffs for order in (0, 1, 2))
+        except DomainError:
+            continue
+        if not np.all(np.isfinite(j2)):
+            continue
+        evaluated += 1
+        assert j2[:5].tobytes() == j1.tobytes(), to_string(e)
+        assert j2[:1].tobytes() == j0.tobytes(), to_string(e)
+    assert evaluated >= 100
+
+
+def test_deep_expression_evaluates():
+    """Keying and evaluating a node take one stack frame per tree level, so
+    a sum of 900 terms, a tree 900 levels deep, evaluates."""
+    jet = eval_jet(parse_expr(" + ".join(["u"] * 900)), P0, order=2)
+    assert jet.value == 900.0 and jet.partial("u") == 900.0
+
+
+def test_jet_cache_keeps_signed_zeros_apart():
+    """Num(0.0) == Num(-0.0) and the two hash alike, but they are two keys
+    in a jet cache.  The walker tetrad of a = 0 holds -0.0 in n next to the
+    metric's 0.0, and a frame read from the metric's cache keeps its sign."""
+    from nullplane.exprkit.jets import JetCache
+    from nullplane.frames import Frame, walker_tetrad
+    from nullplane.tensor import MetricSpec, metric_jet
+
+    pts = np.random.default_rng(3).uniform(0.5, 1.5, (4, 4))
+    cache = JetCache(pts)
+    plus, minus = cache.jet(Num(0.0), 1), cache.jet(Num(-0.0), 1)
+    assert not np.any(np.signbit(plus)) and np.all(np.signbit(minus[0]))
+
+    spec = MetricSpec.walker(0, 2, 0)
+    shared = JetCache(pts)
+    metric_jet(spec, shared)
+    n = Frame.of(walker_tetrad(spec), shared).vecs["n"]
+    assert np.all(np.signbit(n[0, 0])) and not np.any(np.signbit(n[2]))
+    assert n.tobytes() == Frame.of(walker_tetrad(spec), pts).vecs["n"].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # symbolic differentiation
 
