@@ -297,9 +297,9 @@ def conformal_two_sided_factor(inst: FamilyInstance) -> Expr:
     distributions of the (0:1) parameter parallel.
 
     Requires a_v = 0 and c = c1(u,x,y) + v phi(x,y); the factor is
-    exp(-f) with f = -(1/2) * antiderivative of phi in x.  The exponent
-    sign is confirmed empirically (recorded in the instance provenance);
-    the mixed derivative c_uv presents the obstruction.
+    exp(-f) with f = -(1/2) * antiderivative of phi in x, checked at five
+    seeded points (the factor and its residual go into the instance
+    provenance); the mixed derivative c_uv presents the obstruction.
     """
     spec = inst.spec
     if spec.kind != "walker":
@@ -320,27 +320,13 @@ def conformal_two_sided_factor(inst: FamilyInstance) -> Expr:
     from .frames import parallel_residual
 
     tet = walker_tetrad(spec)
-    zdist = alpha_dist(ProjParam.of(1, 0), tet)
-    wdist = beta_dist(_t01(), tet)
-
-    def _two_sided(candidate: Expr) -> float:
-        rescaled = conformal_rescale(spec, candidate)
-        rz = parallel_residual(rescaled, zdist, check_points)
-        rw = parallel_residual(rescaled, wdist, check_points)
-        return max(np.max(rz), np.max(rw))
-
-    res = _two_sided(chi)
-    if res < 1e-7:
-        inst.provenance["conformal_factor"] = {"chi": str(chi), "exponent_sign": "-f", "residual": res}
-        return chi
-    chi_inv = Call("exp", f)
-    res_inv = _two_sided(chi_inv)
-    if res_inv < 1e-7:
-        inst.provenance["conformal_factor"] = {"chi": str(chi_inv), "exponent_sign": "+f", "residual": res_inv}
-        return chi_inv
-    raise NullplaneError(
-        f"neither exponent sign makes the rescaled metric two-sided (residuals {res:.2e}, {res_inv:.2e})"
-    )
+    rescaled = conformal_rescale(spec, chi)
+    dists = (alpha_dist(ProjParam.of(1, 0), tet), beta_dist(_t01(), tet))
+    res = max(np.max(parallel_residual(rescaled, dist, check_points)) for dist in dists)
+    if res >= 1e-7:
+        raise NullplaneError(f"the rescaled metric is not two-sided (residual {res:.2e})")
+    inst.provenance["conformal_factor"] = {"chi": str(chi), "residual": res}
+    return chi
 
 
 def random_polys(seed: int, degree: int, variables, count: int) -> list:

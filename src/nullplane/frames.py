@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateParam, KindError, RankDeficient
+from .errors import DegenerateParam, DomainError, KindError, RankDeficient
 from .exprkit.ast import Expr, Num, as_expr
 from .exprkit.calculus import add_, div_, mul_, neg_
 from .exprkit.jets import JetCache, deriv_coeffs
@@ -155,6 +155,8 @@ def walker_tetrad(spec: MetricSpec) -> Tetrad:
     m = (mul_(half, c), mul_(half, b), Num(0.0), Num(-1.0))
     if spec.kind == CONFORMAL_WALKER:
         chi = spec.chi
+        if chi == Num(0.0):  # also -0.0, which compares equal
+            raise DomainError("the walker tetrad divides by the conformal factor chi, which is the constant 0")
         scale = lambda vec: tuple(div_(comp, chi) for comp in vec)
         l, n, m, mt = scale(l), scale(n), scale(m), scale(mt)
     return Tetrad(l=l, n=n, m=m, mt=mt)

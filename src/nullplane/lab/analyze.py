@@ -114,7 +114,7 @@ def _analysis_exprs(cfg: AnalysisConfig) -> tuple:
     walker_kind = spec.kind in (WALKER, CONFORMAL_WALKER)
     try:
         tet = walker_tetrad(spec) if walker_kind else cfg.tetrad
-    except ZeroDivisionError:  # chi is a constant zero, which the metric stage rejects at every point
+    except DomainError:  # chi is the constant 0, which the metric stage rejects at every point
         return None, {}, None, ExprKeys()
     wtet = walker_tetrad(spec.walker_part()) if spec.kind == CONFORMAL_WALKER else None
     t = cfg.t_field

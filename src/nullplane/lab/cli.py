@@ -7,8 +7,8 @@ import functools
 import os
 import sys
 
-from ..errors import ConfigError, ExprSyntaxError, NullplaneError
-from ..exprkit.parser import parse_expr
+from ..errors import ConfigError, NullplaneError
+from ..exprkit.ast import ZERO
 from ..families import (
     mk_cp_example,
     mk_left_flat,
@@ -21,7 +21,7 @@ from ..families import (
 )
 from ..frames import ProjParam
 from .analyze import run_analysis
-from .config import AnalysisConfig, load_spec_file, parse_exclude, _parse_interval
+from .config import AnalysisConfig, load_spec_file, parse_exclude, _parse, _parse_interval
 from .report import Report, dumps_reports
 from .selftest import selftest
 
@@ -60,13 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expr(text: str, what: str):
-    try:
-        return parse_expr(text)
-    except ExprSyntaxError as err:
-        raise ConfigError(f"bad expression for {what}: {err}") from err
-
-
 def _apply_common(cfg: AnalysisConfig, args) -> AnalysisConfig:
     cfg.points = args.points
     cfg.seed = args.seed
@@ -94,7 +87,7 @@ def _family_instances(args):
             if default is not None:
                 return default
             raise ConfigError(f"family {name!r} needs --{opt}")
-        return _expr(value, opt)
+        return _parse(value, opt)
 
     if name == "walker":
         return [mk_walker(need("a"), need("b"), need("c"))]
@@ -108,12 +101,10 @@ def _family_instances(args):
         return [mk_sd_two_sided(*_random_polys(args, ("x", "y"), 9))]
     if name == "left_flat":
         if args.X is not None or args.Y is not None:
-            zero = parse_expr("0")
-            return [mk_left_flat(need("X", zero), need("Y", zero))]
+            return [mk_left_flat(need("X", ZERO), need("Y", ZERO))]
         return [mk_left_flat(*_random_polys(args, ("x", "y"), 5))]
     if name == "cp":
-        f_expr = _expr(args.F, "F") if args.F is not None else parse_expr("0")
-        g_inst, h_inst, _ = mk_cp_example(f_expr)
+        g_inst, h_inst, _ = mk_cp_example(need("F", ZERO))
         return [g_inst, h_inst]
     raise ConfigError(f"unknown family {name!r}")
 
@@ -128,8 +119,8 @@ def main(argv=None) -> int:
             cfg = load_spec_file(args.spec)
             if args.t0 is not None or args.t1 is not None:
                 cfg.t_field = ProjParam(
-                    _expr(args.t0, "t0") if args.t0 is not None else cfg.t_field.t0,
-                    _expr(args.t1, "t1") if args.t1 is not None else cfg.t_field.t1,
+                    _parse(args.t0, "t0") if args.t0 is not None else cfg.t_field.t0,
+                    _parse(args.t1, "t1") if args.t1 is not None else cfg.t_field.t1,
                 )
             cfg = _apply_common(cfg, args)
             report = run_analysis(cfg)

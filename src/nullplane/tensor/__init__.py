@@ -1,13 +1,6 @@
 """Metric assembly, curvature, Hodge duality, and conformal rescaling."""
 
-from .curvature import (
-    CurvaturePack,
-    box_scalar,
-    christoffel,
-    covariant_derivative,
-    curvature,
-    walker_box_closed_form,
-)
+from .curvature import CurvaturePack, box_scalar, christoffel, curvature, walker_box_closed_form
 from .dual import DualOperator, volume_and_duals, weyl_split
 from .metric import CONFORMAL_WALKER, GENERAL, WALKER, MetricJet, MetricSpec, conformal_rescale, metric_jet
 
@@ -22,7 +15,6 @@ __all__ = [
     "box_scalar",
     "christoffel",
     "conformal_rescale",
-    "covariant_derivative",
     "curvature",
     "metric_jet",
     "volume_and_duals",

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..exprkit.ast import Expr, as_expr
+from ..exprkit.ast import as_expr
 from ..exprkit.jets import JetCache, deriv_coeffs, mul_coeffs
 from .metric import MetricJet, MetricSpec, metric_jet
 
@@ -125,35 +125,7 @@ def curvature(mj: MetricJet) -> CurvaturePack:
 
 
 # ---------------------------------------------------------------------------
-# derived differential operators
-
-
-def covariant_derivative(spec: MetricSpec, field, direction, p) -> np.ndarray:
-    """(nabla_X Y)^a = X^b d_b Y^a + Gamma^a_bc X^b Y^c at the point(s).
-
-    ``field`` is four Exprs; ``direction`` is four Exprs or a numeric
-    4-vector (constant direction).  Returns shape (4,) or (4, P).
-    """
-    pack = christoffel(metric_jet(spec, p))
-    cache = pack.mj.cache
-    npts = cache.points.shape[0]
-    yj = np.stack([cache.jet(as_expr(comp), 1) for comp in field])  # (4, M1, P)
-    yval = yj[:, 0, :]
-    dy = deriv_coeffs(yj, 1)[:, :, 0, :]  # (4 comp, 4 deriv, P)
-    if isinstance(direction, (list, tuple)) and any(isinstance(d, Expr) for d in direction):
-        xval = np.stack([cache.jet(as_expr(comp), 0)[0] for comp in direction])
-    else:
-        arr = np.asarray(direction, dtype=float)
-        if arr.shape == (4,):
-            xval = np.repeat(arr[:, None], npts, axis=1)
-        else:
-            xval = arr.reshape(4, npts)
-    gamma = pack.gamma[..., 0, :]  # (a,b,c,P)
-    out = np.einsum("abp,bp->ap", dy, xval)
-    out = out + np.einsum("abcp,bp,cp->ap", gamma, xval, yval)
-    if pack.mj.single:
-        return out[:, 0]
-    return out
+# the wave operator
 
 
 def box_scalar(metric: MetricSpec | CurvaturePack, chi, p=None) -> float | np.ndarray:

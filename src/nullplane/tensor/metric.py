@@ -9,7 +9,8 @@ Coordinate order is (u, v, x, y).  A walker-kind metric is the block form
 
 with a, b, c arbitrary coordinate functions; conformal_walker is chi^2
 times that block; general holds ten independent components.  Every sampled
-point is checked for invertibility and for signature (+, +, -, -).
+point is checked for finite components, invertibility and signature
+(+, +, -, -).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import DomainError, KindError, SingularMetric
-from ..exprkit.ast import ONE, ZERO, Expr, as_expr
+from ..exprkit.ast import COORDS, ONE, ZERO, Expr, as_expr
 from ..exprkit.calculus import mul_, pow_
 from ..exprkit.jets import JetCache, check_finite_points, div_coeffs, mul_coeffs, n_coeffs, truncate_coeffs
 
@@ -132,7 +133,6 @@ class MetricJet:
 
     points = property(lambda self: self.cache.points)  # (P, 4)
     single = property(lambda self: self.cache.single)
-    npoints = property(lambda self: self.points.shape[0])
 
     @property
     def g_val(self) -> np.ndarray:  # (P, 4, 4)
@@ -155,15 +155,21 @@ def metric_jet(spec: MetricSpec, p) -> MetricJet:
         raise KindError(f"unknown metric kind {spec.kind!r}")
     comps = (spec if spec.kind == GENERAL else spec.walker_part()).component_exprs()
     g = np.zeros((4, 4, M, cache.points.shape[0]))
-    for i in range(4):
-        for j in range(i, 4):
-            g[i, j] = g[j, i] = cache.jet(comps[i][j], order)
-    if spec.kind == CONFORMAL_WALKER:
-        chi = cache.jet(spec.chi, order)
-        if np.any(chi[0] <= 0.0):
-            raise DomainError("conformal factor must be positive on the sample box", expr=spec.chi)
-        chi2 = mul_coeffs(chi, chi, order, order, order)
-        g = mul_coeffs(chi2[None, None], g, order, order, order)
+    # a product that overflows gives inf or nan, rejected below by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(4):
+            for j in range(i, 4):
+                g[i, j] = g[j, i] = cache.jet(comps[i][j], order)
+        if spec.kind == CONFORMAL_WALKER:
+            chi = cache.jet(spec.chi, order)
+            if np.any(chi[0] <= 0.0):
+                raise DomainError("conformal factor must be positive on the sample box", expr=spec.chi)
+            chi2 = mul_coeffs(chi, chi, order, order, order)
+            g = mul_coeffs(chi2[None, None], g, order, order, order)
+    finite = np.isfinite(g).all(axis=(2, 3))
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise DomainError(f"metric component g_{COORDS[i]}{COORDS[j]} or its partials overflowed")
 
     g_val = np.moveaxis(g[:, :, 0, :], -1, 0)
     eigs = np.linalg.eigvalsh(g_val)

@@ -5,6 +5,7 @@ from nullplane.errors import (
     CoefficientDependsOnUV,
     ConstraintViolated,
     NotMultipleWPS,
+    NullplaneError,
     ObstructionPresent,
 )
 from nullplane.exprkit import eval_jet, eval_scalar, parse_expr, to_string, u, v, x, y
@@ -214,7 +215,7 @@ def test_conformal_factor_golden():
     chi = conformal_two_sided_factor(inst)
     expected = np.exp(PTS[:, 2] ** 2 / 4.0)
     assert np.allclose(eval_scalar(chi, PTS), expected, rtol=1e-12)
-    assert inst.provenance["conformal_factor"]["exponent_sign"] in ("-f", "+f")
+    assert inst.provenance["conformal_factor"]["chi"] == str(chi)
 
 
 def test_conformal_factor_already_two_sided():
@@ -237,6 +238,19 @@ def test_conformal_factor_rescale_contract():
 
     for dist in (alpha_dist(ProjParam.of(1, 0), tet), beta_dist(ProjParam.of(0, 1), tet)):
         assert np.max(parallel_residual(rescaled, dist, pts)) < 1e-7
+
+
+def test_conformal_factor_residual_is_checked(monkeypatch):
+    """The factor exp(-f) is returned only once the rescaled metric is
+    checked two-sided; a failed check is an error, and no provenance is
+    recorded."""
+    import nullplane.frames
+
+    monkeypatch.setattr(nullplane.frames, "parallel_residual", lambda spec, dist, pts: np.ones(len(pts)))
+    inst = mk_walker(u**2, v**2 * x + u, mul_(v, x))
+    with pytest.raises(NullplaneError, match="not two-sided"):
+        conformal_two_sided_factor(inst)
+    assert "conformal_factor" not in inst.provenance
 
 
 def test_conformal_factor_error_paths():

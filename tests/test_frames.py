@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nullplane.errors import DegenerateParam, KindError, RankDeficient
+from nullplane.errors import DegenerateParam, DomainError, KindError, RankDeficient
 from nullplane.exprkit import Num, eval_scalar, parse_expr, u, v, x, y
 from nullplane.frames import (
     Distribution,
@@ -81,6 +81,14 @@ def test_tetrad_requires_walker_kind():
     general = MetricSpec.general([[Num(0.0)] * 4 for _ in range(4)])
     with pytest.raises(KindError):
         walker_tetrad(general)
+
+
+@pytest.mark.parametrize("chi", [0.0, -0.0])
+def test_conformal_tetrad_of_constant_zero_chi(chi):
+    """The walker tetrad divides by chi: a constant zero is a DomainError
+    that names chi, not a bare ZeroDivisionError."""
+    with pytest.raises(DomainError, match="chi"):
+        walker_tetrad(MetricSpec.conformal_walker(Num(chi), u**2, v**2, u))
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,24 @@ def test_constant_zero_conformal_factor_fails_the_metric_stage(tmp_path, capsys)
     assert "[at sample 0, stage metric]" in err
 
 
+@pytest.mark.parametrize(
+    "abc",
+    [
+        ["--a=1e300*u*1e300", "--b=v", "--c=x"],
+        ["--a=u^400*1e300", "--b=v", "--c=x"],
+        ["--a=u^2", "--b=v", "--c=x*1e200*1e200"],
+    ],
+)
+def test_metric_overflow_names_sample_and_stage(abc, capsys):
+    """A product that overflows is a DomainError of the metric stage at the
+    first sample, not numpy's LinAlgError from the signature check."""
+    assert main(["family", "--name", "walker", "--points", "3", *abc]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"analysis error: metric component g_x[xy] or its partials overflowed", err)
+    assert "[at sample 0, stage metric]" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("stage", ["metric", "frame", "tetrad"])
 def test_error_names_global_sample_and_stage(stage, tmp_path):
     """An error in a later chunk names the sample by its index in the whole
@@ -573,15 +591,12 @@ def test_adapted_middle_coeff_matches_factored_quartic():
 def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
     import importlib
 
-    from nullplane.weylalg import default_kappa
-
     frames = importlib.import_module("nullplane.frames")
     analyze = importlib.import_module("nullplane.lab.analyze")
     # nullplane.tensor re-exports the function curvature under the module's name
     tcurv = importlib.import_module("nullplane.tensor.curvature")
     weylalg = importlib.import_module("nullplane.weylalg")
 
-    default_kappa()  # the cached calibration is not part of a chunk
     counts = {"metric_jet": 0, "christoffel": 0}
 
     def counted(name, fn):
@@ -619,13 +634,10 @@ def test_one_frame_evaluation_per_chunk(case, monkeypatch, tmp_path):
     import collections
     import importlib
 
-    from nullplane.weylalg import default_kappa
-
     jets = importlib.import_module("nullplane.exprkit.jets")
     frames = importlib.import_module("nullplane.frames")
     analyze = importlib.import_module("nullplane.lab.analyze")
 
-    default_kappa()  # the cached calibration is not part of a chunk
     cfg = _shared_evaluation_configs(tmp_path)[case]
     components = [cfg.t_field.t0, cfg.t_field.t1]
 

@@ -600,6 +600,16 @@ def test_default_kappa_reused():
     assert k1.value == pytest.approx(-4.0, rel=1e-9)
 
 
+def test_default_kappa_is_the_calibrated_constant():
+    """The constant is what calibrate_kappa gives, bit for bit, on both of
+    its instances, and 6 kappa is exactly -24."""
+    pts = np.random.default_rng(0xC0FFEE).uniform(0.5, 1.5, (10, 4))
+    value = default_kappa().value
+    for c in (u, Num(0.0)):
+        assert calibrate_kappa(MetricSpec.walker(u**2, v**2, c), pts).value.hex() == value.hex()
+    assert 6.0 * value == -24.0
+
+
 def test_calibrate_kappa_instances():
     pts = sample_box(52_000, 10)
     k1 = calibrate_kappa(MetricSpec.walker(u**2, v**2, u), pts)
