@@ -123,9 +123,15 @@ class Frame:
     def of(tet: Tetrad, p, t_field: Optional[ProjParam] = None) -> "Frame":
         """The frame at the point(s) p, which may be a JetCache."""
         cache = JetCache.of(p)
-        vecs = {name: np.stack([cache.jet(comp, 1) for comp in vec]) for name, vec in tet.vectors().items()}
-        for comp in () if t_field is None else (t_field.t0, t_field.t1):
-            cache.jet(comp, 1)  # t_values and the generators read these
+        t_comps = {} if t_field is None else {"t0": t_field.t0, "t1": t_field.t1}  # the generators read these
+        # a product that overflows gives inf or nan, rejected below by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            vecs = {name: np.stack([cache.jet(comp, 1) for comp in vec]) for name, vec in tet.vectors().items()}
+            t_jets = {name: cache.jet(comp, 1) for name, comp in t_comps.items()}
+        comps = [(f"tetrad component {name}{i}", jet) for name, vec in vecs.items() for i, jet in enumerate(vec)]
+        for label, jet in comps + [(f"t-field component {name}", jet) for name, jet in t_jets.items()]:
+            if not np.isfinite(jet).all():
+                raise DomainError(f"{label} or its partials are not finite")
         bases = _bivector_bases({name: vec[:, 0, :] for name, vec in vecs.items()})
         return Frame(tet, t_field, cache, vecs, bases)
 

@@ -148,11 +148,11 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0, 
     if tet is not None:
         frame = _attribute_point(lambda c: Frame.of(tet, c, cfg.t_field), cache, offset, "frame")
         # each point's tolerance is at least TOL_ZERO, so a smaller maximum passes all
-        if tetrad_max_defect(mj, frame) > TOL_ZERO:
+        if not tetrad_max_defect(mj, frame) <= TOL_ZERO:  # also when it is nan
             defects = _tetrad_defects(mj, frame)
             tol = TOL_ZERO * np.maximum(np.max(np.abs(mj.g_val), axis=(1, 2)), 1.0)
-            worst = np.argmax(np.where(defects > tol, defects, -1.0))
-            if defects[worst] > tol[worst]:
+            worst = np.argmax(np.where(defects <= tol, -1.0, defects))  # a nan defect is the worst
+            if not defects[worst] <= tol[worst]:
                 raise NullplaneError(
                     f"tetrad normalization defect {defects[worst]:.2e} exceeds tolerance {tol[worst]:.2e}"
                     + _where(pts, worst, offset, "tetrad")

@@ -76,8 +76,8 @@ def christoffel(mj: MetricJet) -> CurvaturePack:
     # sums[d,b,c] = d_b g_dc + d_c g_db - d_d g_bc
     sums = dg.transpose(0, 2, 1, 3, 4) + dg - dg.transpose(2, 0, 1, 3, 4)
     gamma = np.zeros_like(sums)
-    for d in range(4):
-        gamma = gamma + mul_coeffs(mj.g_inv[:, d][:, None, None], sums[d][None], 1, 1, 1)
+    for term in mul_coeffs(mj.g_inv.swapaxes(0, 1)[:, :, None, None], sums[:, None], 1, 1, 1):  # over d, in order
+        gamma = gamma + term
     gamma = 0.5 * gamma
     return CurvaturePack(mj=mj, gamma=gamma)
 

@@ -90,33 +90,27 @@ def conformal_rescale(spec: MetricSpec, chi) -> MetricSpec:
 # jet-valued 4x4 linear algebra (coefficient arrays shaped (M, P))
 
 
-def _det3(m, order):
-    def mm(a, b):
-        return mul_coeffs(a, b, order, order, order)
-
-    return (
-        mm(m[0][0], mm(m[1][1], m[2][2]) - mm(m[1][2], m[2][1]))
-        - mm(m[0][1], mm(m[1][0], m[2][2]) - mm(m[1][2], m[2][0]))
-        + mm(m[0][2], mm(m[1][0], m[2][1]) - mm(m[1][1], m[2][0]))
-    )
-
-
-def _minor(m, row, col):
-    return [[m[i][j] for j in range(4) if j != col] for i in range(4) if i != row]
+_KEPT = np.array([[1, 0, 0, 0], [2, 2, 1, 1], [3, 3, 3, 2]])  # _KEPT[:, i]: the rows left after striking row i
+_SIGN = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))[:, :, None, None]
 
 
 def det_and_adjugate(g: np.ndarray, order: int):
-    """Determinant jet and adjugate jets of a 4x4 jet matrix."""
-    m = [[g[i, j] for j in range(4)] for i in range(4)]
-    cof = np.empty_like(g)
-    for i in range(4):
-        for j in range(4):
-            cof[i, j] = (-1.0) ** (i + j) * _det3(_minor(m, i, j), order)
+    """Determinant jet and adjugate jets of a 4x4 jet matrix: the 16 3x3
+    minors are expanded at once, stacked on their (row, column) axes."""
+
+    def mm(a, b):
+        return mul_coeffs(a, b, order, order, order)
+
+    m = g[_KEPT[:, None, :, None], _KEPT[None, :, None, :]]  # m[r, c, i, j]: entry (r, c) of minor (i, j)
+    cof = _SIGN * (
+        mm(m[0, 0], mm(m[1, 1], m[2, 2]) - mm(m[1, 2], m[2, 1]))
+        - mm(m[0, 1], mm(m[1, 0], m[2, 2]) - mm(m[1, 2], m[2, 0]))
+        + mm(m[0, 2], mm(m[1, 0], m[2, 1]) - mm(m[1, 1], m[2, 0]))
+    )
     det = np.zeros_like(g[0, 0])
-    for j in range(4):
-        det = det + mul_coeffs(m[0][j], cof[0, j], order, order, order)
-    adj = np.swapaxes(cof, 0, 1)
-    return det, adj
+    for term in mm(g[0], cof[0]):  # along row 0, summed left to right
+        det = det + term
+    return det, np.swapaxes(cof, 0, 1)
 
 
 @dataclass
@@ -181,11 +175,14 @@ def metric_jet(spec: MetricSpec, p) -> MetricJet:
 
     # curvature reads g^-1 to one order below g; lower Leibniz coefficients
     # do not depend on the order they are truncated at
-    det, adj = det_and_adjugate(truncate_coeffs(g, order, 1), 1)
-    g_inv = div_coeffs(adj, det[None, None], 1, 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, adj = det_and_adjugate(truncate_coeffs(g, order, 1), 1)
+        g_inv = div_coeffs(adj, det[None, None], 1, 1, 1)
+    if not (np.isfinite(det).all() and np.isfinite(g_inv).all()):
+        raise DomainError("metric determinant or inverse overflowed")
 
     ident = np.einsum("pij,pjk->pik", g_val, np.moveaxis(g_inv[:, :, 0, :], -1, 0))
-    if np.max(np.abs(ident - np.eye(4))) > 1e-9:
+    if not np.max(np.abs(ident - np.eye(4))) <= 1e-9:  # also when it is nan
         raise SingularMetric("inverse check failed (ill-conditioned metric)")
 
     return MetricJet(spec=spec, cache=cache, g=g, g_inv=g_inv, det=det)

@@ -466,6 +466,59 @@ def test_metric_overflow_names_sample_and_stage(abc, capsys):
     assert "Traceback" not in err
 
 
+def test_non_finite_inverse_and_frame_name_sample_and_stage(tmp_path, capsys):
+    """A metric whose determinant overflows although its components do not,
+    a t-field that overflows and a tetrad component that is nan end as
+    errors of the metric or frame stage at the first sample: no traceback,
+    no nan in the output, no RuntimeWarning."""
+    import warnings
+
+    def general(metric, tetrad=None):
+        text = "[metric]\nkind = general\n" + "".join(f"g_{key} = {value}\n" for key, value in metric.items())
+        if tetrad:
+            text += "[tetrad]\n"
+            text += "".join(f"{name}{i} = {e}\n" for name, vec in tetrad.items() for i, e in enumerate(vec))
+        return text
+
+    zero = dict.fromkeys(("uv", "ux", "uy", "vx", "vy", "xy"), 0)
+    block = dict(uu=0, uv=0, ux=1, uy=0, vv=0, vx=0, vy=1, xx="u^2", xy="u", yy="v^2")
+    m = ("u/2", "v^2/2", 0, "-1*1e300*1e300*0")  # m3 is nan
+    tetrad = dict(l=(1, 0, 0, 0), n=("-u^2/2", "-u/2", 1, 0), m=m, mt=(0, 1, 0, 0))
+    cases = {
+        "determinant": (
+            general({**zero, "uu": "1e100*(1+u*u)", "vv": "1e100", "xx": "-1e100", "yy": "-1e100"}),
+            "metric determinant or inverse overflowed",
+            "metric",
+        ),
+        "t_field": (
+            "[metric]\nkind = walker\na = u^2\nb = v^2\nc = u\n[lambda]\nt0 = 1e300*u*1e300\nt1 = 1\n",
+            "t-field component t0 or its partials are not finite",
+            "frame",
+        ),
+        "tetrad": (general(block, tetrad), "tetrad component m3 or its partials are not finite", "frame"),
+    }
+    for case, (text, reason, stage) in cases.items():
+        path = tmp_path / f"{case}.ini"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["analyze", "--spec", str(path), "--points", "3"]) == 1, case
+        out, err = capsys.readouterr()
+        assert err.startswith(f"analysis error: {reason} [at sample 0, stage {stage}]"), case
+        assert "Traceback" not in err and not re.search(r"\bnan\b", out + err, re.I), case
+
+
+def test_nan_tetrad_defect_fails_the_tetrad_stage(monkeypatch):
+    """A tetrad normalization defect that is nan fails the check."""
+    from nullplane.lab import analyze
+
+    spec = mk_walker(u**2, v**2, u).spec
+    monkeypatch.setattr(analyze, "tetrad_max_defect", lambda mj, frame: math.nan)
+    monkeypatch.setattr(analyze, "_tetrad_defects", lambda mj, frame: np.array([0.0, math.nan, 0.0]))
+    with pytest.raises(NullplaneError, match=r"defect nan exceeds .* \[at sample 1, stage tetrad\]"):
+        run_analysis(AnalysisConfig(spec=spec, points=3))
+
+
 @pytest.mark.parametrize("stage", ["metric", "frame", "tetrad"])
 def test_error_names_global_sample_and_stage(stage, tmp_path):
     """An error in a later chunk names the sample by its index in the whole
@@ -589,15 +642,20 @@ def test_adapted_middle_coeff_matches_factored_quartic():
 
 
 def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
+    """Each chunk evaluates each metric and its connection once, and their
+    Leibniz products are stacked: a metric's determinant and adjugate take
+    10 mul_coeffs calls, its connection 1, and a conformal_walker's chi^2
+    factor 2 more (the entrywise expansion took 148 and 4)."""
     import importlib
 
     frames = importlib.import_module("nullplane.frames")
     analyze = importlib.import_module("nullplane.lab.analyze")
     # nullplane.tensor re-exports the function curvature under the module's name
     tcurv = importlib.import_module("nullplane.tensor.curvature")
+    tmetric = importlib.import_module("nullplane.tensor.metric")
     weylalg = importlib.import_module("nullplane.weylalg")
 
-    counts = {"metric_jet": 0, "christoffel": 0}
+    counts = {"metric_jet": 0, "christoffel": 0, "mul_coeffs": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -610,16 +668,18 @@ def test_one_metric_and_connection_evaluation_per_chunk(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "metric_jet", counted("metric_jet", module.metric_jet))
     for module in (frames, tcurv):
         monkeypatch.setattr(module, "christoffel", counted("christoffel", module.christoffel))
+    for module in (tmetric, tcurv):
+        monkeypatch.setattr(module, "mul_coeffs", counted("mul_coeffs", module.mul_coeffs))
 
     # a conformal_walker chunk evaluates two metrics, the metric and its walker
     # part; box_scalar reads the walker part's pack
     want = {
-        "walker": {"metric_jet": 1, "christoffel": 1},
-        "general": {"metric_jet": 1, "christoffel": 1},
-        "conformal_walker": {"metric_jet": 2, "christoffel": 2},
+        "walker": {"metric_jet": 1, "christoffel": 1, "mul_coeffs": 11},
+        "general": {"metric_jet": 1, "christoffel": 1, "mul_coeffs": 11},
+        "conformal_walker": {"metric_jet": 2, "christoffel": 2, "mul_coeffs": 24},
     }
     for case, cfg in _shared_evaluation_configs(tmp_path).items():
-        counts.update(metric_jet=0, christoffel=0)
+        counts.update(metric_jet=0, christoffel=0, mul_coeffs=0)
         run_analysis(cfg)
         assert counts == want[case], case
 

@@ -95,6 +95,65 @@ def test_inverse_built_one_order_below_the_metric(case, tmp_path):
         assert np.array_equal(mj.g_inv, g_inv[:, :, : n_coeffs(1)]), npts
 
 
+def _entrywise_det_and_adjugate(g, order):
+    """Reference: each of the 16 cofactors expanded on its own, then the
+    determinant along row 0, summed left to right."""
+    from nullplane.exprkit.jets import mul_coeffs
+
+    def mm(a, b):
+        return mul_coeffs(a, b, order, order, order)
+
+    def det3(m):
+        return (
+            mm(m[0][0], mm(m[1][1], m[2][2]) - mm(m[1][2], m[2][1]))
+            - mm(m[0][1], mm(m[1][0], m[2][2]) - mm(m[1][2], m[2][0]))
+            + mm(m[0][2], mm(m[1][0], m[2][1]) - mm(m[1][1], m[2][0]))
+        )
+
+    cof = np.empty_like(g)
+    for i in range(4):
+        for j in range(4):
+            minor = [[g[r, c] for c in range(4) if c != j] for r in range(4) if r != i]
+            cof[i, j] = (-1.0) ** (i + j) * det3(minor)
+    det = np.zeros_like(g[0, 0])
+    for j in range(4):
+        det = det + mm(g[0, j], cof[0, j])
+    return det, np.swapaxes(cof, 0, 1)
+
+
+@pytest.mark.parametrize("case", ["walker", "conformal_walker", "general", "dense"])
+def test_stacked_adjugate_equals_entrywise_expansion(case, tmp_path):
+    """The stacked Laplace expansion gives the bits of the cofactor-by-
+    cofactor expansion, signed zeros included, at the order the metric
+    stage uses and one above.  The metrics' walker blocks hold many exact
+    zeros; the dense case, random symmetric jets, makes every product and
+    every sum count."""
+    from nullplane.exprkit.jets import truncate_coeffs
+    from nullplane.families import mk_cp_example, random_polys
+    from nullplane.lab import load_spec_file
+    from nullplane.tensor.metric import det_and_adjugate
+    from conftest import GENERAL_SPEC
+
+    if case == "walker":
+        spec = MetricSpec.walker(*random_polys(74_000, 2, ("u", "v", "x", "y"), 3))
+    elif case == "conformal_walker":
+        spec = mk_cp_example(parse_expr("x*y"))[1].spec
+    elif case == "general":
+        path = tmp_path / "general.ini"
+        path.write_text(GENERAL_SPEC)
+        spec = load_spec_file(str(path)).spec
+    for npts in (1, 2, 13, 250):
+        if case == "dense":
+            g = np.random.default_rng(74_200 + npts).normal(size=(4, 4, 15, npts))
+            g = g + g.swapaxes(0, 1)
+        else:
+            g = metric_jet(spec, sample_box(74_100 + npts, npts)).g
+        for order in (1, 2):
+            gk = truncate_coeffs(g, 2, order)
+            (det, adj), (want_det, want_adj) = det_and_adjugate(gk, order), _entrywise_det_and_adjugate(gk, order)
+            assert det.tobytes() == want_det.tobytes() and adj.tobytes() == want_adj.tobytes(), (npts, order)
+
+
 def test_signature_rejection():
     euclid = MetricSpec.general([[Num(1.0) if i == j else Num(0.0) for j in range(4)] for i in range(4)])
     with pytest.raises(SingularMetric):
