@@ -148,7 +148,8 @@ def recip_coeffs(f: np.ndarray, order: int, num_scale=1.0) -> np.ndarray:
     f0 = f[..., 0, :]
     if np.any(np.abs(f0) < _DIV_GUARD * np.maximum(1.0, num_scale)):
         raise DomainError("division by (near-)zero value")
-    taylor = np.stack([(-1.0) ** k / f0 ** (k + 1) for k in range(order + 1)])
+    with np.errstate(divide="ignore"):  # f0 = 0 passes the guard only beside a nan numerator, rejected later
+        taylor = np.stack([(-1.0) ** k / f0 ** (k + 1) for k in range(order + 1)])
     return compose_coeffs(f, taylor, order)
 
 
@@ -187,13 +188,15 @@ _FUNC_TAYLOR = {
 
 def func_coeffs(name: str, f: np.ndarray, order: int) -> np.ndarray:
     f0 = f[..., 0, :]
-    if name == "ln":
-        if np.any(f0 <= 0.0):
-            raise DomainError("ln of non-positive value")
-        taylor = np.stack([np.log(f0)] + [(-1.0) ** (k - 1) / (k * f0**k) for k in range(1, order + 1)])
-    else:
-        taylor = _FUNC_TAYLOR[name](f0, order)
-    out = compose_coeffs(f, taylor, order)
+    if name == "ln" and np.any(f0 <= 0.0):
+        raise DomainError("ln of non-positive value")
+    # a coefficient that overflows, or divides by a power that underflows to 0, is rejected below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if name == "ln":
+            taylor = np.stack([np.log(f0)] + [(-1.0) ** (k - 1) / (k * f0**k) for k in range(1, order + 1)])
+        else:
+            taylor = _FUNC_TAYLOR[name](f0, order)
+        out = compose_coeffs(f, taylor, order)
     if not np.all(np.isfinite(out)):
         raise DomainError(f"{name} overflowed")
     return out

@@ -132,7 +132,8 @@ class Frame:
         for label, jet in comps + [(f"t-field component {name}", jet) for name, jet in t_jets.items()]:
             if not np.isfinite(jet).all():
                 raise DomainError(f"{label} or its partials are not finite")
-        bases = _bivector_bases({name: vec[:, 0, :] for name, vec in vecs.items()})
+        with np.errstate(over="ignore", invalid="ignore"):  # large components fail the tetrad stage's check
+            bases = _bivector_bases({name: vec[:, 0, :] for name, vec in vecs.items()})
         return Frame(tet, t_field, cache, vecs, bases)
 
     def values(self, name: str) -> np.ndarray:
@@ -256,12 +257,16 @@ def _generators(dist: Distribution, p) -> tuple:
     (k,P), and the projector (P,4,4) onto the Euclidean complement of the
     span, after a rank check.  p is the points or a JetCache."""
     cache = JetCache.of(p)
-    jets = np.stack([[cache.jet(comp, 1) for comp in vec] for vec in dist.generators])
-    vals = jets[..., 0, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is rejected at its point
+        jets = np.stack([[cache.jet(comp, 1) for comp in vec] for vec in dist.generators])
+        vals, norms = jets[..., 0, :], np.linalg.norm(jets[..., 0, :], axis=1)
+    finite = np.isfinite(jets).all(axis=(0, 1, 2)) & np.isfinite(norms).all(axis=0)
+    if not finite.all():
+        raise _at_point(DomainError, "generator values, partials or norms overflowed", cache.points, np.argmin(finite))
     _check_rank(vals, cache.points)
     q, _ = np.linalg.qr(vals.transpose(2, 1, 0))  # (P,4,k)
     proj_off = np.eye(4) - q @ q.swapaxes(1, 2)
-    return vals, deriv_coeffs(jets, 1)[..., 0, :], np.linalg.norm(vals, axis=1), proj_off
+    return vals, deriv_coeffs(jets, 1)[..., 0, :], norms, proj_off
 
 
 def _offspan_residuals(proj_off: np.ndarray, candidates: np.ndarray, denoms: np.ndarray) -> np.ndarray:
@@ -278,47 +283,33 @@ def _offspan_residuals(proj_off: np.ndarray, candidates: np.ndarray, denoms: np.
 
 
 def _frobenius_batch(gen: tuple) -> np.ndarray:
+    """Lie brackets [X_i, X_j]^a = X_i^b d_b X_j^a - X_j^b d_b X_i^a of the
+    pairs i < j.  (Stacking all k^2 ordered pairs would give the same maximum,
+    but numpy projects a lone candidate, k = 2, in another order.)"""
     vals, partials, norms, proj_off = gen
-    k = vals.shape[0]
-    if k == 1:
+    if vals.shape[0] == 1:
         return np.zeros(vals.shape[2])
-    brackets, denoms = [], []
-    for i in range(k):
-        for j in range(i + 1, k):
-            # [X_i, X_j]^a = X_i^b d_b X_j^a - X_j^b d_b X_i^a
-            brackets.append(
-                np.einsum("bp,abp->ap", vals[i], partials[j])
-                - np.einsum("bp,abp->ap", vals[j], partials[i])
-            )
-            denoms.append(norms[i] * norms[j])
-    return _offspan_residuals(proj_off, np.stack(brackets), np.stack(denoms))
+    along = np.einsum("ibp,jabp->ijap", vals, partials)  # X_i^b d_b X_j^a
+    pairs = np.triu_indices(vals.shape[0], 1)
+    return _offspan_residuals(proj_off, (along - along.swapaxes(0, 1))[pairs], (norms[:, None] * norms)[pairs])
 
 
 def _autoparallel_batch(gen: tuple, gamma: np.ndarray) -> np.ndarray:
-    """gamma: connection values Gamma^a_bc, shape (4,4,4,P)."""
+    """(nabla_{X_i} X_j)^a = X_i^b d_b X_j^a + Gamma^a_bc X_i^b X_j^c for every
+    ordered pair; gamma: connection values Gamma^a_bc, shape (4,4,4,P)."""
     vals, partials, norms, proj_off = gen
-    cands, denoms = [], []
-    for i in range(vals.shape[0]):
-        for j in range(vals.shape[0]):
-            # (nabla_{X_i} X_j)^a = X_i^b d_b X_j^a + Gamma^a_bc X_i^b X_j^c
-            cands.append(
-                np.einsum("bp,abp->ap", vals[i], partials[j])
-                + np.einsum("abcp,bp,cp->ap", gamma, vals[i], vals[j])
-            )
-            denoms.append(norms[i] * norms[j])
-    return _offspan_residuals(proj_off, np.stack(cands), np.stack(denoms))
+    k, _, npts = vals.shape
+    cands = np.einsum("ibp,jabp->ijap", vals, partials) + np.einsum("abcp,ibp,jcp->ijap", gamma, vals, vals)
+    return _offspan_residuals(proj_off, cands.reshape(k * k, 4, npts), (norms[:, None] * norms).reshape(k * k, npts))
 
 
 def _parallel_batch(gen: tuple, gamma: np.ndarray) -> np.ndarray:
-    """gamma: connection values Gamma^a_bc, shape (4,4,4,P)."""
+    """(nabla_{e_b} X_i)^a = d_b X_i^a + Gamma^a_bc X_i^c for every generator i
+    and coordinate direction b; gamma as in _autoparallel_batch."""
     vals, partials, norms, proj_off = gen
-    cands, denoms = [], []
-    for i in range(vals.shape[0]):
-        for b in range(4):
-            # (nabla_{e_b} X_i)^a = d_b X_i^a + Gamma^a_bc X_i^c
-            cands.append(partials[i, :, b, :] + np.einsum("acp,cp->ap", gamma[:, b], vals[i]))
-            denoms.append(norms[i])
-    return _offspan_residuals(proj_off, np.stack(cands), np.stack(denoms))
+    k, _, npts = vals.shape
+    cands = partials.swapaxes(1, 2) + np.einsum("abcp,icp->ibap", gamma, vals)
+    return _offspan_residuals(proj_off, cands.reshape(4 * k, 4, npts), np.repeat(norms, 4, axis=0))
 
 
 def frobenius_residual(dist: Distribution, p) -> float:

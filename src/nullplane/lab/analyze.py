@@ -69,11 +69,11 @@ def _attribute_point(evaluate, cache: JetCache, offset: int, stage: str, at_one=
 
 
 def _attribute_row(evaluate, pts: np.ndarray, offset: int, stage: str):
-    """evaluate(); a RankDeficient or DegenerateParam, which knows the chunk
-    row it failed at, names that row's global sample and the stage."""
+    """evaluate(); its RankDeficient, DegenerateParam or DomainError knows the
+    chunk row it failed at, and names that row's global sample and the stage."""
     try:
         return evaluate()
-    except (RankDeficient, DegenerateParam) as err:
+    except (RankDeficient, DegenerateParam, DomainError) as err:
         raise err.__class__(f"{err.reason}{_where(pts, err.row, offset, stage)}") from err
 
 

@@ -75,11 +75,9 @@ def christoffel(mj: MetricJet) -> CurvaturePack:
     dg = deriv_coeffs(mj.g, 2)  # (4,4,4,5,P), dg[i,j,k] = d_k g_ij
     # sums[d,b,c] = d_b g_dc + d_c g_db - d_d g_bc
     sums = dg.transpose(0, 2, 1, 3, 4) + dg - dg.transpose(2, 0, 1, 3, 4)
-    gamma = np.zeros_like(sums)
-    for term in mul_coeffs(mj.g_inv.swapaxes(0, 1)[:, :, None, None], sums[:, None], 1, 1, 1):  # over d, in order
-        gamma = gamma + term
-    gamma = 0.5 * gamma
-    return CurvaturePack(mj=mj, gamma=gamma)
+    # Gamma^a_bc = (1/2) sum_d g^{ad} sums[d,b,c], added from zero in the order of d
+    gamma = mul_coeffs(mj.g_inv.swapaxes(0, 1)[:, :, None, None], sums[:, None], 1, 1, 1).sum(axis=0, initial=0.0)
+    return CurvaturePack(mj=mj, gamma=0.5 * gamma)
 
 
 def curvature(mj: MetricJet) -> CurvaturePack:
@@ -89,6 +87,9 @@ def curvature(mj: MetricJet) -> CurvaturePack:
     t1 = dgam.transpose(0, 2, 3, 1, 4)  # [a,b,c,d] = dgam[a,d,b,c]
     t2 = dgam.transpose(0, 2, 1, 3, 4)  # [a,b,c,d] = dgam[a,c,b,d]
     gt = pack.gamma[..., 0, :]
+    # Gamma^a_ce Gamma^e_db and Gamma^a_de Gamma^e_cb stay loops over e: einsum
+    # gives the same values in another memory layout, which the Ricci trace
+    # keeps, and the scalar's sum over (b, d) then adds in another order
     gg1 = np.zeros_like(t1)
     gg2 = np.zeros_like(t1)
     for e in range(4):
@@ -102,9 +103,7 @@ def curvature(mj: MetricJet) -> CurvaturePack:
 
     g = mj.g[:, :, 0, :]
     ginv = mj.g_inv[:, :, 0, :]
-    riem = np.zeros_like(r_up)
-    for e in range(4):
-        riem = riem + g[:, e][:, None, None, None] * r_up[e][None]
+    riem = np.einsum("aep,ebcdp->abcdp", g, r_up)  # R_abcd = g_ae R^e_bcd
 
     ricci = np.einsum("abadp->bdp", r_up)
     scalar = (ginv * ricci).sum(axis=(0, 1))

@@ -107,9 +107,7 @@ def det_and_adjugate(g: np.ndarray, order: int):
         - mm(m[0, 1], mm(m[1, 0], m[2, 2]) - mm(m[1, 2], m[2, 0]))
         + mm(m[0, 2], mm(m[1, 0], m[2, 1]) - mm(m[1, 1], m[2, 0]))
     )
-    det = np.zeros_like(g[0, 0])
-    for term in mm(g[0], cof[0]):  # along row 0, summed left to right
-        det = det + term
+    det = mm(g[0], cof[0]).sum(axis=0, initial=0.0)  # along row 0, added from zero left to right
     return det, np.swapaxes(cof, 0, 1)
 
 

@@ -92,13 +92,14 @@ def weyl_quartic(pack: CurvaturePack, tet) -> dict:
     bases, which is the magnitude the coefficients would have if the
     relevant Weyl part were generic.
     """
-    bases = _as_frame(tet, pack.mj.cache).bases
     pairings = {}
-    for side, basis in bases.items():
-        # C(b_i, .) once per basis element, then paired with b_j for j >= i
-        t = [(pack.weyl * b[:, :, None, None]).sum(axis=(0, 1)) for b in basis]
-        pairings[side] = [(t[i] * basis[j]).sum(axis=(0, 1)) for i in range(3) for j in range(i, 3)]
-    ref = np.max([np.abs(p) for side_pairings in pairings.values() for p in side_pairings], axis=0)
+    for side, basis in _as_frame(tet, pack.mj.cache).bases.items():
+        basis = np.stack(basis)
+        # C(b_i, b_j) = C_abcd b_i^ab b_j^cd for the pairs 00, 01, 02, 11, 12, 22; the pairing is
+        # a product summed over (c, d), since einsum adds a lone point's 16 terms in another order
+        left = np.einsum("abcdp,iabp->icdp", pack.weyl, basis)
+        pairings[side] = (left[:, None] * basis).sum(axis=(2, 3))[np.triu_indices(3)]
+    ref = np.max(np.abs(np.concatenate(list(pairings.values()))), axis=0)
 
     point = 0 if pack.mj.single else slice(None)
     forms = {}
