@@ -60,12 +60,19 @@ class ProjParam:
         return _t_values(cache.jet(self.t0, 0)[0], cache.jet(self.t1, 0)[0], cache.points)
 
 
-def _at_point(error: type, reason: str, pts: np.ndarray, row: int) -> Exception:
-    """error naming pts[row] by its coordinates; it keeps the row and the
-    reason, so that a caller can name the sample as well."""
-    err = error(f"{reason} [at point {pts[row].tolist()}]")
+def _at_point(error: type, reason: str, pts: Optional[np.ndarray], row: int) -> Exception:
+    """error naming pts[row] by its coordinates (the row if pts is None); it
+    keeps the row and the reason, so that a caller can name the sample too."""
+    err = error(f"{reason} [at {f'row {row}' if pts is None else f'point {pts[row].tolist()}'}]")
     err.row, err.reason = row, reason
     return err
+
+
+def _require_finite(reason: str, *values: np.ndarray) -> None:
+    """Raise a DomainError at the first point (last axis) where a value is not finite."""
+    finite = np.logical_and.reduce([np.isfinite(v) for v in values])
+    if not finite.all():
+        raise _at_point(DomainError, reason, None, int(np.argmin(finite)))
 
 
 def _t_values(t0: np.ndarray, t1: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -278,8 +285,11 @@ def _offspan_residuals(proj_off: np.ndarray, candidates: np.ndarray, denoms: np.
     exactly like those products under positive rescaling of the
     generators, which makes the residual projective-parameter invariant.
     """
-    off = np.linalg.norm(candidates.transpose(2, 0, 1) @ proj_off.swapaxes(1, 2), axis=2)  # (P,m)
-    return np.max(off / np.maximum(denoms.T, 1e-300), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual that overflows is rejected at its point
+        off = np.linalg.norm(candidates.transpose(2, 0, 1) @ proj_off.swapaxes(1, 2), axis=2)  # (P,m)
+        out = np.max(off / np.maximum(denoms.T, 1e-300), axis=1)
+    _require_finite("a residual overflowed", out)
+    return out
 
 
 def _frobenius_batch(gen: tuple) -> np.ndarray:

@@ -8,7 +8,7 @@ from math import comb
 
 import numpy as np
 
-from ..errors import DegenerateParam, DomainError, NullplaneError, RankDeficient, SingularMetric
+from ..errors import CalibrationFailure, DegenerateParam, DomainError, NullplaneError, RankDeficient, SingularMetric
 from ..exprkit.jets import ExprKeys, JetCache
 from ..frames import (
     Frame,
@@ -69,11 +69,11 @@ def _attribute_point(evaluate, cache: JetCache, offset: int, stage: str, at_one=
 
 
 def _attribute_row(evaluate, pts: np.ndarray, offset: int, stage: str):
-    """evaluate(); its RankDeficient, DegenerateParam or DomainError knows the
-    chunk row it failed at, and names that row's global sample and the stage."""
+    """evaluate(); its RankDeficient, DegenerateParam, DomainError or
+    CalibrationFailure knows its chunk row, and names the row's sample and the stage."""
     try:
         return evaluate()
-    except (RankDeficient, DegenerateParam, DomainError) as err:
+    except (RankDeficient, DegenerateParam, DomainError, CalibrationFailure) as err:
         raise err.__class__(f"{err.reason}{_where(pts, err.row, offset, stage)}") from err
 
 
@@ -159,7 +159,7 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0, 
                 )
         from ..tensor.dual import volume_and_duals
 
-        volume_and_duals(mj, frame)  # orientation calibration check
+        _attribute_row(lambda: volume_and_duals(mj, frame), pts, offset, "tetrad")  # orientation calibration check
 
         def t_field_and_generators():
             return frame.t_values(), {name: _generators(dist, cache) for name, dist in dists.items()}
@@ -173,14 +173,17 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0, 
             zero_form = roots.type_code == 0
             out[f"{side}_dir_defect"] = _double_root_defect(coeffs, direction, zero_form)
 
-        gamma = pack.gamma[..., 0, :]  # one connection for every residual
-        for name, gen in gens.items():
-            out[name, "frobenius"] = _frobenius_batch(gen)
-            out[name, "autoparallel"] = _autoparallel_batch(gen, gamma)
-            out[name, "parallel"] = _parallel_batch(gen, gamma)
-        m, den = _e_restricted(pack, gens["Z"][0])  # one Ricci restriction for both outputs
-        out["ricci_null"] = _ricci_null_of(m, den)
-        out["rps_disc"] = _rps_of(m, den)
+        def residuals():
+            gamma = pack.gamma[..., 0, :]  # one connection for every residual
+            for name, gen in gens.items():
+                out[name, "frobenius"] = _frobenius_batch(gen)
+                out[name, "autoparallel"] = _autoparallel_batch(gen, gamma)
+                out[name, "parallel"] = _parallel_batch(gen, gamma)
+            m, den = _e_restricted(pack, gens["Z"][0])  # one Ricci restriction for both outputs
+            out["ricci_null"] = _ricci_null_of(m, den)
+            out["rps_disc"] = _rps_of(m, den)
+
+        _attribute_row(residuals, pts, offset, "residuals")
 
     if spec.kind in (WALKER, CONFORMAL_WALKER):
         # obstruction lives in the walker gauge; the flag/verdict use the
@@ -271,12 +274,11 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     else:
         verdict, reason = "yes", "all conditions hold at every sampled point"
 
-    columns = {key: col.tolist() if isinstance(col, np.ndarray) else col for key, col in data.items()}
-    columns["point"] = pts.tolist()
+    data["point"] = pts
     return Report(
         config=cfg.echo(),
         kappa=kappa.value if kappa is not None else None,
-        columns=columns,
+        columns=data,
         flags=flags,
         verdict=verdict,
         verdict_reason=reason,

@@ -4,7 +4,6 @@ locally-conformally-two-sided verdict."""
 from __future__ import annotations
 
 import json
-import math
 import re
 import time
 from dataclasses import dataclass
@@ -17,10 +16,11 @@ from .. import __version__
 from ..weylalg import ROOT_KINDS, RootTable, root_type_string
 
 
-# Most values per piece of a record's text.  Pieces this short stay in
-# Python's small-object allocator, so the one large string a report makes is
-# its text; 1000 record strings of 2 kB each raised the benchmark's peak RSS
-# by 3-5 MB.
+# Most values per run of a record's text, a roots part counting as one.  A
+# run of numbers stays in Python's small-object allocator (512 bytes); one
+# with a roots part can pass it (2 of a walker record's 6 runs, up to 812
+# bytes); walker_bulk's peak RSS read 76.5-77.7 MB over 5 runs.  1000 record
+# strings of 2 kB each raised it by 3-5 MB.
 _RUN = 6
 _SLOT_BASE = 10**20
 # slot i of a template, -(_SLOT_BASE + i), as json.dumps writes it: a raw
@@ -91,12 +91,12 @@ def _layout(doc, depth: int) -> tuple:
     return [piece.replace("%", "%%") for piece in pieces], order
 
 
-def _as_written(col) -> list:
-    """col itself if %s writes each value as json.dumps does (all are
-    finite floats), else each value as json.dumps writes it."""
-    if set(map(type, col)) <= {float} and math.isfinite(sum(col)):
-        return col
-    return list(map(json.dumps, col))
+def _as_written(col: np.ndarray) -> list:
+    """The float array col's values as floats if %s writes each as json.dumps
+    does (all are finite), else each as json.dumps writes it."""
+    if np.isfinite(col).all():
+        return col.tolist()
+    return list(map(json.dumps, col.tolist()))
 
 
 def _roots_json(table: RootTable, depth: int) -> list:
@@ -125,9 +125,9 @@ def _roots_json(table: RootTable, depth: int) -> list:
 @dataclass
 class Report:
     """An analysis's configuration echo, calibration constant, per-point
-    columns, flags and verdict.  The columns are lists whose i-th item
-    belongs to point i (the residuals keyed (distribution, kind)), and a
-    RootTable per side; to_json writes the points from them directly."""
+    columns, flags and verdict.  A column is a float array with the point on
+    axis 0 (the residuals keyed (distribution, kind)), or a RootTable per
+    side; to_json writes the points from them directly."""
 
     config: dict
     kappa: Optional[float]
@@ -140,7 +140,8 @@ class Report:
     def point_records(self) -> list:
         """One record per point, built from the columns when first read."""
         cols = {
-            key: _root_records(col) if isinstance(col, RootTable) else col for key, col in self.columns.items()
+            key: _root_records(col) if isinstance(col, RootTable) else np.asarray(col, dtype=float).tolist()
+            for key, col in self.columns.items()
         }
         return [_record(cols, lambda key: cols[key][p]) for p in range(len(cols["point"]))]
 
@@ -167,60 +168,36 @@ class Report:
 
     def _points_pieces(self, depth: int) -> list:
         """The points list as json.dumps lays it out at depth, from the
-        columns, as pieces of text: each record's fixed part in runs of at
-        most _RUN values, each run from one template, and its roots parts
-        (see _roots_json)."""
+        columns, as pieces of text: each record in runs of at most _RUN
+        values, each run from one template, a roots part (see _roots_json)
+        being one value."""
         cols = self.columns
-        count = len(cols["point"])
-        if not count:
+        if not len(cols["point"]):
             return ["[]"]
-        sources = []  # slot i -> (column key, item of a list value or None)
+        streams = []  # slot i -> its value in every record, as %s writes it
 
-        def placeholder(key):  # a slot for the value, or one per item of a list
-            first = cols[key][0]
-            items = range(len(first)) if isinstance(first, list) else [None]
-            slots = []
-            for item in items:
-                slots.append(_slot(len(sources)))
-                sources.append((key, item))
-            return slots if isinstance(first, list) else slots[0]
-
-        pieces, order = _layout(_record(cols, placeholder), depth + 1)
-        flat = {}
-        for key in dict.fromkeys(key for key, _ in sources):
+        def placeholder(key):  # a slot for the value, or one per item of a row
             col = cols[key]
             if isinstance(col, RootTable):
-                flat[key, None] = _roots_json(col, depth + 3)  # record, quartic, roots
-            elif isinstance(col[0], list):
-                flat.update(((key, j), _as_written(c)) for j, c in enumerate(zip(*col)))
-            else:
-                flat[key, None] = _as_written(col)
-        streams, template, run = [], pieces[0], []  # streams: a piece of every record each
+                streams.append(_roots_json(col, depth + 3))  # record, quartic, roots
+                return _slot(len(streams) - 1)
+            col = np.asarray(col, dtype=float)
+            first = len(streams)
+            streams.extend(map(_as_written, col.T if col.ndim == 2 else [col]))
+            slots = [_slot(i) for i in range(first, len(streams))]
+            return slots if col.ndim == 2 else slots[0]
 
-        def close():
-            if run or template:
-                streams.append(list(map(template.__mod__, zip(*run))) if run else [template % ()] * count)
-
-        for i, piece in zip(order, pieces[1:]):
-            key, item = sources[i]
-            if isinstance(cols[key], RootTable):
-                close()
-                streams.append(flat[key, None])
-                template, run = piece, []
-            else:
-                template += "%s" + piece
-                run.append(flat[key, item])
-                if len(run) == _RUN:
-                    close()
-                    template, run = "", []
-        close()
+        pieces, order = _layout(_record(cols, placeholder), depth + 1)
+        runs = []  # a piece of every record each
+        for r in range(0, len(order), _RUN):
+            template = "%s".join([pieces[0] if r == 0 else ""] + pieces[r + 1 : r + _RUN + 1])
+            runs.append(list(map(template.__mod__, zip(*(streams[i] for i in order[r : r + _RUN])))))
         (head, sep, tail), _ = _split([_slot(0)] * 2, depth)
         out = [head]
-        for p, record in enumerate(zip(*streams)):
-            if p:
-                out.append(sep)
+        for record in zip(*runs):
             out.extend(record)
-        out.append(tail)
+            out.append(sep)
+        out[-1] = tail  # the last record's separator
         return out
 
     def to_text(self) -> str:
@@ -234,10 +211,10 @@ class Report:
             lines.append(f"    {key:<{width}}  {self.flags[key]}")
         lines.append(f"  verdict: {self.verdict}   ({self.verdict_reason})")
         cols = self.columns
-        if cols["point"]:  # read from the columns: point_records would build every record
+        if len(cols["point"]):  # read from the columns: point_records would build every record
             lines.append("  first sampled point:")
-            lines.append(f"    point: {cols['point'][0]}")
-            lines.append(f"    scalar_curvature: {cols['scalar'][0]:.6g}")
+            lines.append(f"    point: {np.asarray(cols['point'][0], dtype=float).tolist()}")
+            lines.append(f"    scalar_curvature: {float(cols['scalar'][0]):.6g}")
             if "SD_roots" in cols:
                 lines.append(f"    SD quartic type: {root_type_string(int(cols['SD_roots'].type_code[0]))}")
                 lines.append(f"    ASD quartic type: {root_type_string(int(cols['ASD_roots'].type_code[0]))}")

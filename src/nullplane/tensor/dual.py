@@ -76,10 +76,10 @@ def volume_and_duals(mj, tetrad) -> DualOperator:
     """Orientation-calibrated dual operator at the metric jet's points.
 
     The sign is fixed by requiring star(l ^ mt) = +(l ^ mt) at every
-    sampled point; failure at any point raises CalibrationFailure.  The
-    tetrad is a Tetrad or a frames.Frame at the jet's points.
+    sampled point; a CalibrationFailure keeps the first row where it fails.
+    The tetrad is a Tetrad or a frames.Frame at the jet's points.
     """
-    from ..frames import _as_frame  # frames imports this package
+    from ..frames import _as_frame, _at_point  # frames imports this package
 
     plus = DualOperator(sign=1.0, sqrt_det=np.sqrt(mj.det[0]), g_inv=mj.g_inv_val)
     frame = _as_frame(tetrad, mj.cache)
@@ -87,14 +87,13 @@ def volume_and_duals(mj, tetrad) -> DualOperator:
     starred = plus.star_bivector(biv)
     norm = np.max(np.abs(biv), axis=(1, 2))
     if np.any(norm <= 0.0):
-        raise CalibrationFailure("degenerate tetrad bivector l ^ mt")
-    res_plus = np.max(np.abs(starred - biv), axis=(1, 2)) / norm
-    res_minus = np.max(np.abs(-starred - biv), axis=(1, 2)) / norm
-    if np.all(res_plus < 1e-8):
-        return plus
-    if np.all(res_minus < 1e-8):
-        return DualOperator(sign=-1.0, sqrt_det=plus.sqrt_det, g_inv=plus.g_inv)
-    raise CalibrationFailure("l ^ mt is not a star eigenvector; tetrad or metric is inconsistent")
+        raise _at_point(CalibrationFailure, "degenerate tetrad bivector l ^ mt", mj.cache.points, np.argmax(norm <= 0))
+    sign = 1.0 if np.max(np.abs(starred[0] - biv[0])) / norm[0] < 1e-8 else -1.0  # no point passes both signs
+    passed = np.max(np.abs(sign * starred - biv), axis=(1, 2)) / norm < 1e-8  # a nan residual fails
+    if not passed.all():
+        reason = "l ^ mt is not a star eigenvector; tetrad or metric is inconsistent"
+        raise _at_point(CalibrationFailure, reason, mj.cache.points, np.argmin(passed))
+    return DualOperator(sign=sign, sqrt_det=plus.sqrt_det, g_inv=plus.g_inv)
 
 
 def weyl_split(pack, dual: DualOperator):

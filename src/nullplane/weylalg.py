@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CalibrationFailure, KindError, RankDeficient
 from .exprkit.calculus import diff_expr, is_zero_expr
-from .frames import Distribution, walker_tetrad, _as_frame, _generators
+from .frames import Distribution, walker_tetrad, _as_frame, _generators, _require_finite
 from .tensor.curvature import CurvaturePack, curvature
 from .tensor.metric import WALKER, MetricSpec, metric_jet
 
@@ -394,8 +394,11 @@ def _ricci_null_of(m: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _rps_of(m: np.ndarray, den: np.ndarray) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return det / np.maximum(den**2, 1e-30)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected at its point
+        det, den2 = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], den**2
+        out = det / np.maximum(den2, 1e-30)
+    _require_finite("the Ricci discriminant or its normalization overflowed", out, den2)
+    return out
 
 
 def ricci_null_residual(pack: CurvaturePack, zdist: Distribution):

@@ -17,19 +17,41 @@ from nullplane.lab.cli import main
 
 _FUNCS = ("exp", "ln", "sin", "cos", "sinh", "cosh")
 
-# the three holes of the boundary found first, by the stage that now rejects
-# them: a finite t-field whose generator norms overflow, tetrad components
-# whose bivector wedges overflow, and an ln whose second Taylor coefficient
-# divides by a power that underflows to 0
+# holes of the boundary, each with the stage that now rejects it: a finite
+# t-field whose generator norms overflow, tetrad components whose bivector
+# wedges overflow, and an ln whose second Taylor coefficient divides by a
+# power that underflows to 0, found first; then a tetrad that is normalized
+# within its tolerance but whose l ^ mt is no star eigenvector, and two
+# residual overflows, a t-field's (reduced from the 10th spec _random_spec
+# draws from the generator seeded 10) and the Ricci discriminant's squared
+# normalization (from the 536th drawn from seed 5)
 _WALKER_BLOCK = dict(uu=0, uv=0, ux=1, uy=0, vv=0, vx=0, vy=1, xx="u^2", xy="u", yy="v^2")
-FIXED = {
-    "generators": "[metric]\nkind = walker\na = u^2\nb = v^2\nc = u\n[lambda]\nt0 = 1e200\nt1 = 1e200\n",
-    "tetrad": "[metric]\nkind = general\n"
-    + "".join(f"g_{key} = {value}\n" for key, value in _WALKER_BLOCK.items())
-    + "[tetrad]\nl0 = 1e200\nl1 = 0\nl2 = 0\nl3 = 0\nn0 = -u^2/2\nn1 = 1e200\nn2 = 1\nn3 = 0\n"
-    + "m0 = u/2\nm1 = v^2/2\nm2 = 0\nm3 = -1\nmt0 = 0\nmt1 = 1\nmt2 = 0\nmt3 = 0\n",
-    "metric": "[metric]\nkind = walker\na = u^2\nb = v^2\nc = ln(1e-263)\n",
-}
+
+
+def _general_walker(yy="v^2", l2=0) -> str:
+    """The walker block with g_yy = yy and its tetrad, l's x component l2."""
+    return (
+        "[metric]\nkind = general\n"
+        + "".join(f"g_{key} = {value}\n" for key, value in {**_WALKER_BLOCK, "yy": yy}.items())
+        + f"[tetrad]\nl0 = 1\nl1 = 0\nl2 = {l2}\nl3 = 0\nn0 = -u^2/2\nn1 = -u/2\nn2 = 1\nn3 = 0\n"
+        + f"m0 = u/2\nm1 = ({yy})/2\nm2 = 0\nm3 = -1\nmt0 = 0\nmt1 = 1\nmt2 = 0\nmt3 = 0\n"
+    )
+
+
+FIXED = [
+    ("generators", "[metric]\nkind = walker\na = u^2\nb = v^2\nc = u\n[lambda]\nt0 = 1e200\nt1 = 1e200\n"),
+    (
+        "tetrad",
+        "[metric]\nkind = general\n"
+        + "".join(f"g_{key} = {value}\n" for key, value in _WALKER_BLOCK.items())
+        + "[tetrad]\nl0 = 1e200\nl1 = 0\nl2 = 0\nl3 = 0\nn0 = -u^2/2\nn1 = 1e200\nn2 = 1\nn3 = 0\n"
+        + "m0 = u/2\nm1 = v^2/2\nm2 = 0\nm3 = -1\nmt0 = 0\nmt1 = 1\nmt2 = 0\nmt3 = 0\n",
+    ),
+    ("metric", "[metric]\nkind = walker\na = u^2\nb = v^2\nc = ln(1e-263)\n"),
+    ("tetrad", _general_walker(l2="3e-8")),
+    ("residuals", "[metric]\nkind = walker\na = u^2\nb = v^2\nc = u\n[lambda]\nt0 = cos(1e182*u)\nt1 = 1\n"),
+    ("residuals", _general_walker(yy="cos(1e99*u)")),
+]
 
 
 def _wild_expr(rng, depth=4):
@@ -87,7 +109,7 @@ def _random_spec(rng) -> str:
 def test_fuzzed_spec_files_end_cleanly(tmp_path, capsys):
     rng = np.random.default_rng(0)
     path = tmp_path / "spec.ini"
-    for stage, text in list(FIXED.items()) + [(None, _random_spec(rng)) for _ in range(64)]:
+    for stage, text in FIXED + [(None, _random_spec(rng)) for _ in range(64)]:
         path.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

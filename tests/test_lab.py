@@ -952,6 +952,13 @@ def test_report_written_from_hand_built_columns():
     text = dumps_reports({"a": report, "b": report})
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
     assert json.dumps(json.loads(text)["b"]["points"], sort_keys=True) == json.dumps(report.point_records, sort_keys=True)
+    # the same columns as float arrays, as run_analysis hands them over
+    arrays = {key: col if isinstance(col, RootTable) else np.array(col) for key, col in columns.items()}
+    as_arrays = Report(report.config, None, arrays, report.flags, "no", "hand-built")
+    assert as_arrays.to_json(with_timestamp=False) == report.to_json(with_timestamp=False)
+    stamp = re.compile(r'"generated_at": "[^"]*"')
+    assert stamp.sub("", dumps_reports({"a": as_arrays, "b": as_arrays})) == stamp.sub("", text)
+    assert as_arrays.to_text() == report.to_text()
 
 
 def _text_from_records(report) -> str:

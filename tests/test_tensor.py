@@ -404,6 +404,19 @@ def test_conformal_identity():
     assert np.allclose(metric_jet(resc, PTS).g_val, metric_jet(spec, PTS).g_val)
 
 
+def test_conformal_walker_components_give_its_metric(walker_corpus):
+    """A general spec of a conformal_walker's component expressions has its
+    metric values: measured equal to the bit on these four, so the bound is a
+    few units in the last place."""
+    specs, pts = walker_corpus
+    chi = parse_expr("exp(x/4 + v/5)")
+    for spec in specs[:4]:
+        cw = MetricSpec.conformal_walker(chi, spec.a, spec.b, spec.c)
+        g = metric_jet(cw, pts).g_val
+        g_general = metric_jet(MetricSpec.general(cw.component_exprs()), pts).g_val
+        assert np.max(np.abs(g_general - g)) <= 1e-15 * np.max(np.abs(g))
+
+
 def test_conformal_scalar_law(walker_corpus):
     specs, pts = walker_corpus
     chi = parse_expr("exp(x/4 + v/5)")
