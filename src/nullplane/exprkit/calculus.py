@@ -7,6 +7,10 @@ Structurally different but algebraically equal quotient forms may fail to
 cancel, so ``is_zero_expr`` is sound when it answers True but incomplete;
 the family builders only ever need it on polynomial-in-one-variable shapes
 where it is exact.
+
+The zero test and the antiderivative share that one expansion: ``poly_of``
+records each atom in a table its caller passes, and ``antideriv_poly``
+integrates the monomials whose atoms' arguments are free of the coordinate.
 """
 
 from __future__ import annotations
@@ -200,11 +204,16 @@ def _canon(p) -> str:
     return "+".join(parts)
 
 
-def _atom_poly(key: str, power: int = 1):
+def _atom_poly(atoms, func: str, arg_poly, atom: Expr, power: int = 1):
+    """One atom to a power; ``atoms`` maps its key to (argument expansion, atom)."""
+    key = f"{func}({_canon(arg_poly)})"
+    atoms.setdefault(key, (arg_poly, atom))
     return {(_ZERO_EXPS, ((key, power),)): 1.0}
 
 
-def poly_of(e: Expr) -> _Poly:
+def poly_of(e: Expr, atoms: dict) -> _Poly:
+    """Expansion {(exps, ((atom key, power), ...)): coeff} of an expression;
+    every atom met is entered in the table ``atoms``."""
     if isinstance(e, Num):
         return {(_ZERO_EXPS, ()): e.value} if e.value != 0.0 else {}
     if isinstance(e, Var):
@@ -212,30 +221,30 @@ def poly_of(e: Expr) -> _Poly:
         exps[_VAR_INDEX[e.name]] = 1
         return {(tuple(exps), ()): 1.0}
     if isinstance(e, Neg):
-        return _pscale(poly_of(e.arg), -1.0)
+        return _pscale(poly_of(e.arg, atoms), -1.0)
     if isinstance(e, BinOp):
-        pl = poly_of(e.lhs)
+        pl = poly_of(e.lhs, atoms)
         if e.op == "+":
-            return _padd(pl, poly_of(e.rhs))
+            return _padd(pl, poly_of(e.rhs, atoms))
         if e.op == "-":
-            return _padd(pl, _pscale(poly_of(e.rhs), -1.0))
-        pr = poly_of(e.rhs)
+            return _padd(pl, _pscale(poly_of(e.rhs, atoms), -1.0))
+        pr = poly_of(e.rhs, atoms)
         if e.op == "*":
             return _pmul(pl, pr)
         const = _pconst(pr)
         if const is not None and const != 0.0:
             return _pscale(pl, 1.0 / const)
-        return _pmul(pl, _atom_poly(f"recip({_canon(pr)})"))
+        return _pmul(pl, _atom_poly(atoms, "recip", pr, div_(Num(1.0), e.rhs)))
     if isinstance(e, Pow):
-        pb = poly_of(e.base)
+        pb = poly_of(e.base, atoms)
         if e.exponent >= 0:
             return _ppow(pb, e.exponent)
         const = _pconst(pb)
         if const is not None and const != 0.0:
             return {(_ZERO_EXPS, ()): const**e.exponent}
-        return _atom_poly(f"recip({_canon(pb)})", -e.exponent)
+        return _atom_poly(atoms, "recip", pb, div_(Num(1.0), e.base), -e.exponent)
     if isinstance(e, Call):
-        return _atom_poly(f"{e.func}({_canon(poly_of(e.arg))})")
+        return _atom_poly(atoms, e.func, poly_of(e.arg, atoms), e)
     raise TypeError(f"cannot normalize {type(e).__name__}")
 
 
@@ -244,7 +253,7 @@ _ZERO_COEFF = 1e-10  # absolute coefficient tolerance of is_zero_expr
 
 def is_zero_expr(e: Expr) -> bool:
     """Structural zero test after expansion (absolute coefficient tolerance)."""
-    return all(abs(c) <= _ZERO_COEFF for c in poly_of(e).values())
+    return all(abs(c) <= _ZERO_COEFF for c in poly_of(e, {}).values())
 
 
 def depends_on(e: Expr, var: str) -> bool:
@@ -256,71 +265,32 @@ def depends_on(e: Expr, var: str) -> bool:
 # polynomial antiderivative in one coordinate
 
 
-def _as_poly_in(e: Expr, var: str):
-    """Coefficient-Expr dict {degree: Expr}, or None when not polynomial."""
-    if not depends_on(e, var):
-        return {0: e}
-    if isinstance(e, Var):
-        return {1: Num(1.0)} if e.name == var else {0: e}
-    if isinstance(e, Neg):
-        inner = _as_poly_in(e.arg, var)
-        if inner is None:
-            return None
-        return {k: neg_(c) for k, c in inner.items()}
-    if isinstance(e, BinOp):
-        pl = _as_poly_in(e.lhs, var)
-        if pl is None:
-            return None
-        if e.op in ("+", "-"):
-            pr = _as_poly_in(e.rhs, var)
-            if pr is None:
-                return None
-            out = dict(pl)
-            comb = add_ if e.op == "+" else sub_
-            for k, c in pr.items():
-                out[k] = comb(out.get(k, Num(0.0)), c)
-            return out
-        if e.op == "*":
-            pr = _as_poly_in(e.rhs, var)
-            if pr is None:
-                return None
-            out: dict[int, Expr] = {}
-            for k1, c1 in pl.items():
-                for k2, c2 in pr.items():
-                    k = k1 + k2
-                    out[k] = add_(out.get(k, Num(0.0)), mul_(c1, c2))
-            return out
-        if depends_on(e.rhs, var):
-            return None
-        return {k: div_(c, e.rhs) for k, c in pl.items()}
-    if isinstance(e, Pow):
-        if e.exponent < 0:
-            return None  # base depends on var (handled above otherwise)
-        pb = _as_poly_in(e.base, var)
-        if pb is None:
-            return None
-        out = {0: Num(1.0)}
-        for _ in range(e.exponent):
-            nxt: dict[int, Expr] = {}
-            for k1, c1 in out.items():
-                for k2, c2 in pb.items():
-                    k = k1 + k2
-                    nxt[k] = add_(nxt.get(k, Num(0.0)), mul_(c1, c2))
-            out = nxt
-        return out
-    return None  # Call depending on var
+def _holds(p, i: int, atoms) -> bool:
+    """True when an expansion varies with coordinate ``i``: a monomial the
+    zero test keeps has a power of it or an atom whose argument holds it."""
+    return any(
+        abs(coeff) > _ZERO_COEFF and (exps[i] > 0 or any(_holds(atoms[key][0], i, atoms) for key, _ in mono_atoms))
+        for (exps, mono_atoms), coeff in p.items()
+    )
 
 
 def antideriv_poly(e: Expr, var: str) -> Expr:
-    """Antiderivative of an expression polynomial in ``var`` (zero constant)."""
-    if var not in COORDS:
-        raise ValueError(f"unknown coordinate {var!r}")
-    poly = _as_poly_in(e, var)
-    if poly is None:
-        raise NotPolynomial(f"'{to_string(e)}' is not polynomial in {var}")
+    """Antiderivative of an expression polynomial in ``var`` (zero constant),
+    integrated monomial by monomial from its expansion."""
+    if not depends_on(e, var):
+        return mul_(e, Var(var))
+    atoms: dict = {}
+    i = _VAR_INDEX[var]
     result: Expr = Num(0.0)
-    for k in sorted(poly):
-        coeff = poly[k]
-        term = div_(mul_(coeff, pow_(Var(var), k + 1)), Num(float(k + 1)))
+    for (exps, mono_atoms), coeff in sorted(poly_of(e, atoms).items()):
+        if abs(coeff) <= _ZERO_COEFF:
+            continue
+        if any(_holds(atoms[key][0], i, atoms) for key, _ in mono_atoms):
+            raise NotPolynomial(f"'{to_string(e)}' is not polynomial in {var}")
+        term: Expr = Num(coeff / (exps[i] + 1))
+        for j, name in enumerate(COORDS):
+            term = mul_(term, pow_(Var(name), exps[j] + (j == i)))
+        for key, power in mono_atoms:
+            term = mul_(term, pow_(atoms[key][1], power))
         result = add_(result, term)
     return result

@@ -207,20 +207,15 @@ def func_coeffs(name: str, f: np.ndarray, order: int) -> np.ndarray:
 
 
 def as_points(p) -> tuple[np.ndarray, bool]:
-    """Normalize to (P, 4); returns (array, was_single_point)."""
+    """Normalize to (P, 4) finite coordinates; returns (array, was_single_point)."""
     arr = np.asarray(p, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape != (_NVARS,):
-            raise ValueError("a point has exactly four coordinates (u, v, x, y)")
-        return arr[None, :], True
-    if arr.ndim == 2 and arr.shape[1] == _NVARS:
-        return arr, False
-    raise ValueError("points must be shaped (4,) or (P, 4)")
-
-
-def check_finite_points(pts: np.ndarray) -> None:
-    if not np.all(np.isfinite(pts)):
+    if arr.ndim == 1 and arr.shape != (_NVARS,):
+        raise ValueError("a point has exactly four coordinates (u, v, x, y)")
+    if arr.ndim not in (1, 2) or arr.shape[-1] != _NVARS:
+        raise ValueError("points must be shaped (4,) or (P, 4)")
+    if not np.all(np.isfinite(arr)):
         raise ValueError("point coordinates must be finite")
+    return (arr[None, :], True) if arr.ndim == 1 else (arr, False)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +269,7 @@ class Jet:
 
 def eval_jet(e: Expr, p, order: int = 3) -> Jet:
     """All raw partials of the expression at the point(s), to the given order."""
-    cache = JetCache.of(p)
-    check_finite_points(cache.points)
-    return Jet(order, cache.jet(e, order))
+    return Jet(order, JetCache.of(p).jet(e, order))
 
 
 class ExprKeys:

@@ -332,8 +332,8 @@ def conformal_two_sided_factor(inst: FamilyInstance) -> Expr:
 def random_polys(seed: int, degree: int, variables, count: int) -> list:
     """Deterministic random polynomials with coefficients in [-1, 1] over
     all monomials of total degree <= degree in the given variables."""
-    if degree > 4:
-        raise ValueError("degree must be at most 4")
+    if not 0 <= degree <= 4:
+        raise ValueError("degree must be between 0 and 4")
     names = tuple(variables)
     rng = np.random.default_rng(seed)
     monos = []

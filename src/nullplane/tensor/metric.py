@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import DomainError, KindError, SingularMetric
 from ..exprkit.ast import COORDS, ONE, ZERO, Expr, as_expr
 from ..exprkit.calculus import mul_, pow_
-from ..exprkit.jets import JetCache, check_finite_points, div_coeffs, mul_coeffs, n_coeffs, truncate_coeffs
+from ..exprkit.jets import JetCache, div_coeffs, mul_coeffs, n_coeffs, truncate_coeffs
 
 WALKER = "walker"
 CONFORMAL_WALKER = "conformal_walker"
@@ -139,7 +139,6 @@ def metric_jet(spec: MetricSpec, p) -> MetricJet:
     """Evaluate the metric and its partials to second order at the point(s),
     and its inverse and determinant to first order.  p may be a JetCache."""
     cache = JetCache.of(p)
-    check_finite_points(cache.points)
     order = 2
     M = n_coeffs(order)
 

@@ -280,5 +280,6 @@ def test_random_polys_degree_zero():
 
 
 def test_random_polys_rejects_high_degree():
-    with pytest.raises(ValueError):
-        random_polys(1, 5, ("x", "y"), 1)
+    for degree in (5, -1):
+        with pytest.raises(ValueError, match="degree must be between 0 and 4"):
+            random_polys(1, degree, ("x", "y"), 1)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from nullplane.errors import DegenerateParam, DomainError, KindError, RankDeficient
-from nullplane.exprkit import Num, eval_scalar, parse_expr, u, v, x, y
+from nullplane.exprkit import Num, eval_jet, eval_scalar, fd_derivative, parse_expr, u, v, x, y
 from nullplane.frames import (
     Distribution,
+    Frame,
     ProjParam,
     alpha_dist,
     autoparallel_residual,
@@ -17,7 +18,7 @@ from nullplane.frames import (
     tetrad_max_defect,
     walker_tetrad,
 )
-from nullplane.tensor import MetricSpec, curvature, metric_jet
+from nullplane.tensor import MetricSpec, box_scalar, curvature, metric_jet, walker_box_closed_form
 from nullplane.weylalg import ricci_null_residual
 from conftest import sample_box
 
@@ -325,3 +326,32 @@ def test_rank_deficient_names_point():
     pack = curvature(metric_jet(MetricSpec.walker(u**2, v**2, u), pts))
     with pytest.raises(RankDeficient, match=where):
         ricci_null_residual(pack, dist)
+
+
+# ---------------------------------------------------------------------------
+# points
+
+
+_WALKER = MetricSpec.walker(u**2, v**2, u)
+_ENTRY_POINTS = {
+    "eval_scalar": lambda p: eval_scalar(u * v, p),
+    "eval_jet": lambda p: eval_jet(u * v, p),
+    "fd_derivative": lambda p: fd_derivative(u * v, p, "u"),
+    "ProjParam.values": lambda p: T01.values(p),
+    "Frame.of": lambda p: Frame.of(walker_tetrad(_WALKER), p),
+    "metric_jet": lambda p: metric_jet(_WALKER, p),
+    "walker_box_closed_form": lambda p: walker_box_closed_form(u**2, v**2, u, x * y, p),
+    "box_scalar": lambda p: box_scalar(_WALKER, x * y, p),
+    "frobenius_residual": lambda p: frobenius_residual(beta_dist(T01, walker_tetrad(_WALKER)), p),
+    "parallel_residual": lambda p: parallel_residual(_WALKER, alpha_dist(T10, walker_tetrad(_WALKER)), p),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_non_finite_points_rejected_where_read(entry, bad):
+    """Every entry point rejects a non-finite coordinate when it reads the
+    points, as one point and inside a batch."""
+    for p in ([bad, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, bad, 1.0]]):
+        with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+            _ENTRY_POINTS[entry](p)
