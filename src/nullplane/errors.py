@@ -1,8 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way a per-point
+check names the point it fails at."""
+
+import numpy as np
 
 
 class NullplaneError(Exception):
     """Base class for all package-specific errors."""
+
+    row = None  # the batch row a per-point check failed at (see at_point)
 
 
 class ExprSyntaxError(NullplaneError):
@@ -69,3 +74,26 @@ class NotMultipleWPS(NullplaneError):
 
 class ConfigError(NullplaneError):
     """Bad analysis configuration or spec file."""
+
+
+def at_point(error: type, reason: str, pts, row: int, *args) -> NullplaneError:
+    """error(reason, *args), naming pts[row] by its coordinates (the row if
+    pts is None).  It keeps the row and its reason, so that a caller that
+    knows the batch can name the sample too."""
+    err = error(reason, *args)
+    err.row, err.reason = int(row), str(err)
+    err.args = (f"{err.reason} [at {f'row {row}' if pts is None else f'point {pts[row].tolist()}'}]",)
+    return err
+
+
+def require(ok: np.ndarray, error: type, reason: str, pts, *args) -> None:
+    """Raise at_point(error, reason, pts, row, *args) at the first row (the
+    last axis of ok) where ok is False on any leading axis."""
+    if not ok.all():
+        raise at_point(error, reason, pts, np.argmin(ok.reshape(-1, ok.shape[-1]).all(axis=0)), *args)
+
+
+def require_finite(reason: str, pts, *values: np.ndarray) -> None:
+    """Raise a DomainError at the first point (the last axis of every value)
+    where a value is not finite."""
+    require(np.concatenate([np.isfinite(v).reshape(-1, v.shape[-1]) for v in values]), DomainError, reason, pts)

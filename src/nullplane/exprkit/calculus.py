@@ -276,14 +276,18 @@ def _holds(p, i: int, atoms) -> bool:
 
 def antideriv_poly(e: Expr, var: str) -> Expr:
     """Antiderivative of an expression polynomial in ``var`` (zero constant),
-    integrated monomial by monomial from its expansion."""
-    if not depends_on(e, var):
-        return mul_(e, Var(var))
+    integrated monomial by monomial from its expansion.  A coefficient counts
+    as zero at 1e-10 of the expansion's largest, so a small input keeps its
+    terms."""
     atoms: dict = {}
+    poly = poly_of(e, atoms)
+    tol = _ZERO_COEFF * max(map(abs, poly.values()), default=0.0)
+    if all(abs(c) <= tol for c in poly_of(diff_expr(e, var), {}).values()):  # free of var
+        return mul_(e, Var(var))
     i = _VAR_INDEX[var]
     result: Expr = Num(0.0)
-    for (exps, mono_atoms), coeff in sorted(poly_of(e, atoms).items()):
-        if abs(coeff) <= _ZERO_COEFF:
+    for (exps, mono_atoms), coeff in sorted(poly.items()):
+        if abs(coeff) <= tol:
             continue
         if any(_holds(atoms[key][0], i, atoms) for key, _ in mono_atoms):
             raise NotPolynomial(f"'{to_string(e)}' is not polynomial in {var}")

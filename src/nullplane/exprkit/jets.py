@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, at_point, require, require_finite
 from .ast import COORDS, BinOp, Call, Expr, Neg, Num, Pow, Var
 
 _NVARS = 4
@@ -146,8 +146,7 @@ def compose_coeffs(f: np.ndarray, taylor: np.ndarray, order: int) -> np.ndarray:
 
 def recip_coeffs(f: np.ndarray, order: int, num_scale=1.0) -> np.ndarray:
     f0 = f[..., 0, :]
-    if np.any(np.abs(f0) < _DIV_GUARD * np.maximum(1.0, num_scale)):
-        raise DomainError("division by (near-)zero value")
+    require(~(np.abs(f0) < _DIV_GUARD * np.maximum(1.0, num_scale)), DomainError, "division by (near-)zero value", None)
     with np.errstate(divide="ignore"):  # f0 = 0 passes the guard only beside a nan numerator, rejected later
         taylor = np.stack([(-1.0) ** k / f0 ** (k + 1) for k in range(order + 1)])
     return compose_coeffs(f, taylor, order)
@@ -188,8 +187,8 @@ _FUNC_TAYLOR = {
 
 def func_coeffs(name: str, f: np.ndarray, order: int) -> np.ndarray:
     f0 = f[..., 0, :]
-    if name == "ln" and np.any(f0 <= 0.0):
-        raise DomainError("ln of non-positive value")
+    if name == "ln":
+        require(~(f0 <= 0.0), DomainError, "ln of non-positive value", None)
     # a coefficient that overflows, or divides by a power that underflows to 0, is rejected below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if name == "ln":
@@ -197,8 +196,7 @@ def func_coeffs(name: str, f: np.ndarray, order: int) -> np.ndarray:
         else:
             taylor = _FUNC_TAYLOR[name](f0, order)
         out = compose_coeffs(f, taylor, order)
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"{name} overflowed")
+    require_finite(f"{name} overflowed", None, out)
     return out
 
 
@@ -313,7 +311,7 @@ class JetCache:
     ``keys`` counts more than once, and looks up every other subtree.  A
     request at a lower order reads the first rows of a kept jet, since lower
     Leibniz coefficients do not depend on the order a jet is truncated at.
-    Where points go, a cache reads as its points."""
+    A guard's error is raised again naming the subexpression and the point."""
 
     def __init__(self, p, keys: ExprKeys | None = None):
         self.points, self.single = as_points(p)
@@ -324,9 +322,6 @@ class JetCache:
     def of(p) -> "JetCache":
         """p itself if it is a JetCache, else a new cache at the point(s) p."""
         return p if isinstance(p, JetCache) else JetCache(p)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.points, dtype=dtype, copy=copy)
 
     def jet(self, e: Expr, order: int, requested: bool = True) -> np.ndarray:
         """Jet (M, P) of the expression at the cache's points."""
@@ -353,8 +348,8 @@ class JetCache:
                 else:
                     out = (mul_coeffs if e.op == "*" else div_coeffs)(a, b, order, order, order)
         except DomainError as err:
-            if err.expr is None:
-                raise DomainError(str(err), expr=e) from None
+            if err.expr is None:  # raised by a guard at this node
+                raise at_point(DomainError, err.reason, self.points, err.row, e) from None
             raise
         if requested or self.keys.uses[k] > 1:
             self._kept[k] = out
@@ -372,42 +367,37 @@ def eval_scalar(e: Expr, p):
 
 
 def _eval_values(e: Expr, pts: np.ndarray) -> np.ndarray:
-    try:
-        if isinstance(e, Num):
-            return np.full(pts.shape[0], e.value)
-        if isinstance(e, Var):
-            return pts[:, COORDS.index(e.name)].copy()
-        if isinstance(e, Neg):
-            return -_eval_values(e.arg, pts)
-        if isinstance(e, BinOp):
-            a = _eval_values(e.lhs, pts)
-            b = _eval_values(e.rhs, pts)
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if np.any(np.abs(b) < _DIV_GUARD * np.maximum(1.0, np.abs(a))):
-                raise DomainError("division by (near-)zero value", expr=e)
-            return a / b
-        if isinstance(e, Pow):
-            base = _eval_values(e.base, pts)
-            if e.exponent < 0 and np.any(np.abs(base) < _DIV_GUARD):
-                raise DomainError("negative power of (near-)zero value", expr=e)
-            return base ** float(e.exponent)
-        if isinstance(e, Call):
-            arg = _eval_values(e.arg, pts)
-            if e.func == "ln" and np.any(arg <= 0.0):
-                raise DomainError("ln of non-positive value", expr=e)
-            out = _NP_FUNCS[e.func](arg)
-            if not np.all(np.isfinite(out)):
-                raise DomainError(f"{e.func} overflowed", expr=e)
-            return out
-    except DomainError as err:
-        if err.expr is None:
-            raise DomainError(str(err), expr=e) from None
-        raise
+    if isinstance(e, Num):
+        return np.full(pts.shape[0], e.value)
+    if isinstance(e, Var):
+        return pts[:, COORDS.index(e.name)].copy()
+    if isinstance(e, Neg):
+        return -_eval_values(e.arg, pts)
+    if isinstance(e, BinOp):
+        a = _eval_values(e.lhs, pts)
+        b = _eval_values(e.rhs, pts)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if np.any(np.abs(b) < _DIV_GUARD * np.maximum(1.0, np.abs(a))):
+            raise DomainError("division by (near-)zero value", expr=e)
+        return a / b
+    if isinstance(e, Pow):
+        base = _eval_values(e.base, pts)
+        if e.exponent < 0 and np.any(np.abs(base) < _DIV_GUARD):
+            raise DomainError("negative power of (near-)zero value", expr=e)
+        return base ** float(e.exponent)
+    if isinstance(e, Call):
+        arg = _eval_values(e.arg, pts)
+        if e.func == "ln" and np.any(arg <= 0.0):
+            raise DomainError("ln of non-positive value", expr=e)
+        out = _NP_FUNCS[e.func](arg)
+        if not np.all(np.isfinite(out)):
+            raise DomainError(f"{e.func} overflowed", expr=e)
+        return out
     raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateParam, DomainError, KindError, RankDeficient
+from .errors import DegenerateParam, DomainError, KindError, RankDeficient, require, require_finite
 from .exprkit.ast import Expr, Num, as_expr
 from .exprkit.calculus import add_, div_, mul_, neg_
 from .exprkit.jets import JetCache, deriv_coeffs
@@ -60,28 +60,11 @@ class ProjParam:
         return _t_values(cache.jet(self.t0, 0)[0], cache.jet(self.t1, 0)[0], cache.points)
 
 
-def _at_point(error: type, reason: str, pts: Optional[np.ndarray], row: int) -> Exception:
-    """error naming pts[row] by its coordinates (the row if pts is None); it
-    keeps the row and the reason, so that a caller can name the sample too."""
-    err = error(f"{reason} [at {f'row {row}' if pts is None else f'point {pts[row].tolist()}'}]")
-    err.row, err.reason = row, reason
-    return err
-
-
-def _require_finite(reason: str, *values: np.ndarray) -> None:
-    """Raise a DomainError at the first point (last axis) where a value is not finite."""
-    finite = np.logical_and.reduce([np.isfinite(v) for v in values])
-    if not finite.all():
-        raise _at_point(DomainError, reason, None, int(np.argmin(finite)))
-
-
 def _t_values(t0: np.ndarray, t1: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """The t-field values (2, P); raises DegenerateParam where both vanish."""
     vals = np.stack([t0, t1])
     scale = np.max(np.abs(vals), axis=0)
-    bad = np.flatnonzero(scale < 1e-12)
-    if bad.size:
-        raise _at_point(DegenerateParam, "both projective components vanish at a sampled point", pts, bad[0])
+    require(~(scale < 1e-12), DegenerateParam, "both projective components vanish at a sampled point", pts)
     return vals
 
 
@@ -137,8 +120,7 @@ class Frame:
             t_jets = {name: cache.jet(comp, 1) for name, comp in t_comps.items()}
         comps = [(f"tetrad component {name}{i}", jet) for name, vec in vecs.items() for i, jet in enumerate(vec)]
         for label, jet in comps + [(f"t-field component {name}", jet) for name, jet in t_jets.items()]:
-            if not np.isfinite(jet).all():
-                raise DomainError(f"{label} or its partials are not finite")
+            require_finite(f"{label} or its partials are not finite", cache.points, jet)
         with np.errstate(over="ignore", invalid="ignore"):  # large components fail the tetrad stage's check
             bases = _bivector_bases({name: vec[:, 0, :] for name, vec in vecs.items()})
         return Frame(tet, t_field, cache, vecs, bases)
@@ -253,9 +235,7 @@ def _check_rank(vals: np.ndarray, pts: np.ndarray) -> None:
     (k,4,P) do not span k dimensions."""
     k = vals.shape[0]
     sv = np.linalg.svd(vals.transpose(2, 1, 0), compute_uv=False)  # (P,k)
-    bad = np.flatnonzero(sv[:, k - 1] < 1e-10 * np.maximum(sv[:, 0], 1e-300))
-    if bad.size:
-        raise _at_point(RankDeficient, f"generators have rank < {k}", pts, bad[0])
+    require(~(sv[:, k - 1] < 1e-10 * np.maximum(sv[:, 0], 1e-300)), RankDeficient, f"generators have rank < {k}", pts)
 
 
 def _generators(dist: Distribution, p) -> tuple:
@@ -267,9 +247,7 @@ def _generators(dist: Distribution, p) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is rejected at its point
         jets = np.stack([[cache.jet(comp, 1) for comp in vec] for vec in dist.generators])
         vals, norms = jets[..., 0, :], np.linalg.norm(jets[..., 0, :], axis=1)
-    finite = np.isfinite(jets).all(axis=(0, 1, 2)) & np.isfinite(norms).all(axis=0)
-    if not finite.all():
-        raise _at_point(DomainError, "generator values, partials or norms overflowed", cache.points, np.argmin(finite))
+    require_finite("generator values, partials or norms overflowed", cache.points, jets, norms)
     _check_rank(vals, cache.points)
     q, _ = np.linalg.qr(vals.transpose(2, 1, 0))  # (P,4,k)
     proj_off = np.eye(4) - q @ q.swapaxes(1, 2)
@@ -288,7 +266,7 @@ def _offspan_residuals(proj_off: np.ndarray, candidates: np.ndarray, denoms: np.
     with np.errstate(over="ignore", invalid="ignore"):  # a residual that overflows is rejected at its point
         off = np.linalg.norm(candidates.transpose(2, 0, 1) @ proj_off.swapaxes(1, 2), axis=2)  # (P,m)
         out = np.max(off / np.maximum(denoms.T, 1e-300), axis=1)
-    _require_finite("a residual overflowed", out)
+    require_finite("a residual overflowed", None, out)
     return out
 
 

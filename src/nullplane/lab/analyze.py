@@ -8,7 +8,7 @@ from math import comb
 
 import numpy as np
 
-from ..errors import CalibrationFailure, DegenerateParam, DomainError, NullplaneError, RankDeficient, SingularMetric
+from ..errors import DomainError, NullplaneError, at_point
 from ..exprkit.jets import ExprKeys, JetCache
 from ..frames import (
     Frame,
@@ -51,30 +51,6 @@ def _where(pts: np.ndarray, i: int, offset: int, stage: str) -> str:
     """Error suffix naming chunk row i by its global sample index and its
     coordinates; offset is the global index of pts[0]."""
     return f" [at sample {offset + i}, stage {stage}] [at point {pts[i].tolist()}]"
-
-
-def _attribute_point(evaluate, cache: JetCache, offset: int, stage: str, at_one=None):
-    """evaluate(cache); if it fails with a DomainError or SingularMetric,
-    at_one (by default evaluate) is run point by point, each point with a
-    cache of its own, and the error names the first failing sample."""
-    try:
-        return evaluate(cache)
-    except (DomainError, SingularMetric) as err:
-        for i, point in enumerate(cache.points):
-            try:
-                (at_one or evaluate)(JetCache(point[None], cache.keys))
-            except (DomainError, SingularMetric) as single_err:
-                raise err.__class__(f"{single_err}{_where(cache.points, i, offset, stage)}") from err
-        raise
-
-
-def _attribute_row(evaluate, pts: np.ndarray, offset: int, stage: str):
-    """evaluate(); its RankDeficient, DegenerateParam, DomainError or
-    CalibrationFailure knows its chunk row, and names the row's sample and the stage."""
-    try:
-        return evaluate()
-    except (RankDeficient, DegenerateParam, DomainError, CalibrationFailure) as err:
-        raise err.__class__(f"{err.reason}{_where(pts, err.row, offset, stage)}") from err
 
 
 def _adapted_middle_coeff(coeffs: np.ndarray, tvals: np.ndarray) -> np.ndarray:
@@ -130,50 +106,53 @@ def _analysis_exprs(cfg: AnalysisConfig) -> tuple:
 def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0, exprs=None) -> dict:
     """Per-point columns of one chunk: each is an array or a list whose
     first axis is the point.  The residuals are keyed (distribution, kind).
-    offset is the global sample index of pts[0], which errors name.  exprs
+    offset is the global sample index of pts[0]: an error that knows its
+    chunk row names that row's sample and the stage that raised it.  exprs
     is _analysis_exprs(cfg); every consumer evaluates in one JetCache."""
     spec = cfg.spec
     tet, dists, wtet, keys = exprs or _analysis_exprs(cfg)
     cache = JetCache(pts, keys)
-    mj = _attribute_point(lambda c: metric_jet(spec, c), cache, offset, "metric")
-    pack = curvature(mj)
+    stage = "metric"
+    try:
+        mj = metric_jet(spec, cache)
+        stage = "curvature"
+        pack = curvature(mj)
 
-    out: dict = {
-        "scalar": pack.scalar_val,
-        "einstein": einstein_residual(pack),
-        "ricci_scale": np.max(np.abs(pack.ricci_val), axis=(1, 2)),
-        "riemann_scale": pack.riemann_scale(),
-    }
+        out: dict = {
+            "scalar": pack.scalar_val,
+            "einstein": einstein_residual(pack),
+            "ricci_scale": np.max(np.abs(pack.ricci_val), axis=(1, 2)),
+            "riemann_scale": pack.riemann_scale(),
+        }
 
-    if tet is not None:
-        frame = _attribute_point(lambda c: Frame.of(tet, c, cfg.t_field), cache, offset, "frame")
-        # each point's tolerance is at least TOL_ZERO, so a smaller maximum passes all
-        if not tetrad_max_defect(mj, frame) <= TOL_ZERO:  # also when it is nan
-            defects = _tetrad_defects(mj, frame)
-            tol = TOL_ZERO * np.maximum(np.max(np.abs(mj.g_val), axis=(1, 2)), 1.0)
-            worst = np.argmax(np.where(defects <= tol, -1.0, defects))  # a nan defect is the worst
-            if not defects[worst] <= tol[worst]:
-                raise NullplaneError(
-                    f"tetrad normalization defect {defects[worst]:.2e} exceeds tolerance {tol[worst]:.2e}"
-                    + _where(pts, worst, offset, "tetrad")
-                )
-        from ..tensor.dual import volume_and_duals
+        if tet is not None:
+            stage = "frame"
+            frame = Frame.of(tet, cache, cfg.t_field)
+            stage = "tetrad"
+            # each point's tolerance is at least TOL_ZERO, so a smaller maximum passes all
+            if not tetrad_max_defect(mj, frame) <= TOL_ZERO:  # also when it is nan
+                defects = _tetrad_defects(mj, frame)
+                tol = TOL_ZERO * np.maximum(np.max(np.abs(mj.g_val), axis=(1, 2)), 1.0)
+                worst = np.argmax(np.where(defects <= tol, -1.0, defects))  # a nan defect is the worst
+                if not defects[worst] <= tol[worst]:
+                    reason = f"tetrad normalization defect {defects[worst]:.2e} exceeds tolerance {tol[worst]:.2e}"
+                    raise at_point(NullplaneError, reason, pts, worst)
+            from ..tensor.dual import volume_and_duals
 
-        _attribute_row(lambda: volume_and_duals(mj, frame), pts, offset, "tetrad")  # orientation calibration check
+            volume_and_duals(mj, frame)  # orientation calibration check
+            stage = "generators"
+            tvals = frame.t_values()  # (2, P)
+            gens = {name: _generators(dist, cache) for name, dist in dists.items()}
+            stage = "quartic"
+            forms = weyl_quartic(pack, frame)
+            # the SD direction is (1 : 0), the ASD direction the t-field's
+            for side, direction in (("SD", np.array([[1.0], [0.0]])), ("ASD", tvals)):
+                coeffs, roots = forms[side].coeffs, root_structure(forms[side])
+                out[f"{side}_coeffs"], out[f"{side}_roots"] = coeffs, roots
+                zero_form = roots.type_code == 0
+                out[f"{side}_dir_defect"] = _double_root_defect(coeffs, direction, zero_form)
 
-        def t_field_and_generators():
-            return frame.t_values(), {name: _generators(dist, cache) for name, dist in dists.items()}
-
-        tvals, gens = _attribute_row(t_field_and_generators, pts, offset, "generators")  # tvals (2, P)
-        forms = weyl_quartic(pack, frame)
-        # the SD direction is (1 : 0), the ASD direction the t-field's
-        for side, direction in (("SD", np.array([[1.0], [0.0]])), ("ASD", tvals)):
-            coeffs, roots = forms[side].coeffs, root_structure(forms[side])
-            out[f"{side}_coeffs"], out[f"{side}_roots"] = coeffs, roots
-            zero_form = roots.type_code == 0
-            out[f"{side}_dir_defect"] = _double_root_defect(coeffs, direction, zero_form)
-
-        def residuals():
+            stage = "residuals"
             gamma = pack.gamma[..., 0, :]  # one connection for every residual
             for name, gen in gens.items():
                 out[name, "frobenius"] = _frobenius_batch(gen)
@@ -183,30 +162,32 @@ def _chunk_arrays(cfg: AnalysisConfig, pts: np.ndarray, kappa, offset: int = 0, 
             out["ricci_null"] = _ricci_null_of(m, den)
             out["rps_disc"] = _rps_of(m, den)
 
-        _attribute_row(residuals, pts, offset, "residuals")
-
-    if spec.kind in (WALKER, CONFORMAL_WALKER):
-        # obstruction lives in the walker gauge; the flag/verdict use the
-        # middle coefficient in the frame adapted to the t-field direction
-        if spec.kind == WALKER:
-            wpack = pack
-            wasd_coeffs = out["ASD_coeffs"]
-        else:
-            wp = spec.walker_part()
-            wpack = curvature(_attribute_point(lambda c: metric_jet(wp, c), cache, offset, "walker_part"))
-            wasd_coeffs = weyl_quartic(wpack, wtet)["ASD"].coeffs
-            # the box of chi reads the walker part's connection from its pack
-            out["box_chi_generic"] = _attribute_point(
-                lambda c: box_scalar(wpack, spec.chi), cache, offset, "box", lambda c: box_scalar(wp, spec.chi, c)
+        if spec.kind in (WALKER, CONFORMAL_WALKER):
+            # obstruction lives in the walker gauge; the flag/verdict use the
+            # middle coefficient in the frame adapted to the t-field direction
+            if spec.kind == WALKER:
+                wpack = pack
+                wasd_coeffs = out["ASD_coeffs"]
+            else:
+                stage = "walker_part"
+                wp = spec.walker_part()
+                wpack = curvature(metric_jet(wp, cache))
+                wasd_coeffs = weyl_quartic(wpack, wtet)["ASD"].coeffs
+                stage = "box"
+                # the box of chi reads the walker part's connection from its pack
+                out["box_chi_generic"] = box_scalar(wpack, spec.chi)
+                out["box_chi_closed"] = walker_box_closed_form(wp.a, wp.b, wp.c, spec.chi, cache)
+            c2_raw = wasd_coeffs[:, 2]
+            c2_adapted = _adapted_middle_coeff(wasd_coeffs, tvals)
+            out["obstruction"] = c2_raw / (6.0 * kappa.value) - wpack.scalar_val / 12.0
+            out["obstruction_adapted"] = c2_adapted / (6.0 * kappa.value) - wpack.scalar_val / 12.0
+            out["obstruction_scale"] = np.maximum(
+                np.abs(wpack.scalar_val) / 12.0, 1e-2 * np.max(np.abs(wpack.riemann_val), axis=(1, 2, 3, 4))
             )
-            out["box_chi_closed"] = walker_box_closed_form(wp.a, wp.b, wp.c, spec.chi, cache)
-        c2_raw = wasd_coeffs[:, 2]
-        c2_adapted = _adapted_middle_coeff(wasd_coeffs, tvals)
-        out["obstruction"] = c2_raw / (6.0 * kappa.value) - wpack.scalar_val / 12.0
-        out["obstruction_adapted"] = c2_adapted / (6.0 * kappa.value) - wpack.scalar_val / 12.0
-        out["obstruction_scale"] = np.maximum(
-            np.abs(wpack.scalar_val) / 12.0, 1e-2 * np.max(np.abs(wpack.riemann_val), axis=(1, 2, 3, 4))
-        )
+    except NullplaneError as err:
+        if err.row is None:  # not a per-point check: nothing to name
+            raise
+        raise err.__class__(f"{err.reason}{_where(pts, err.row, offset, stage)}") from err
     return out
 
 

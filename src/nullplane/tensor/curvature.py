@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..errors import require_finite
 from ..exprkit.ast import as_expr
 from ..exprkit.jets import JetCache, deriv_coeffs, mul_coeffs
 from .metric import MetricJet, MetricSpec, metric_jet
@@ -80,8 +81,11 @@ def christoffel(mj: MetricJet) -> CurvaturePack:
     return CurvaturePack(mj=mj, gamma=0.5 * gamma)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value that overflows is rejected at its point
 def curvature(mj: MetricJet) -> CurvaturePack:
-    """Full curvature pack (Riemann, Ricci, scalar, trace-free Ricci, Weyl)."""
+    """Full curvature pack (Riemann, Ricci, scalar, trace-free Ricci, Weyl).
+    Every value enters the Weyl tensor, so a DomainError names the first
+    point where it, or the trace-free Ricci tensor, is not finite."""
     pack = christoffel(mj)
     dgam = deriv_coeffs(pack.gamma, 1)[..., 0, :]  # axes (a, d, b, c) with c the deriv
     t1 = dgam.transpose(0, 2, 3, 1, 4)  # [a,b,c,d] = dgam[a,d,b,c]
@@ -114,6 +118,7 @@ def curvature(mj: MetricJet) -> CurvaturePack:
     kn = p1 - p1.transpose(0, 1, 3, 2, 4) - p1.transpose(1, 0, 2, 3, 4) + p1.transpose(1, 0, 3, 2, 4)
     gg = q1 - q1.transpose(0, 1, 3, 2, 4)
     weyl = riem - 0.5 * kn + (scalar[None, None, None, None] / 6.0) * gg
+    require_finite("the curvature overflowed", mj.points, weyl, efield)
 
     pack.riemann = riem
     pack.ricci = ricci

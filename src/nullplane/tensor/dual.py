@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import CalibrationFailure
+from ..errors import CalibrationFailure, require
 
 
 def _levi_civita4() -> np.ndarray:
@@ -79,20 +79,18 @@ def volume_and_duals(mj, tetrad) -> DualOperator:
     sampled point; a CalibrationFailure keeps the first row where it fails.
     The tetrad is a Tetrad or a frames.Frame at the jet's points.
     """
-    from ..frames import _as_frame, _at_point  # frames imports this package
+    from ..frames import _as_frame  # frames imports this package
 
     plus = DualOperator(sign=1.0, sqrt_det=np.sqrt(mj.det[0]), g_inv=mj.g_inv_val)
     frame = _as_frame(tetrad, mj.cache)
     biv = np.moveaxis(frame.bases["SD"][0], -1, 0)  # values of l ^ mt, (P, 4, 4)
     starred = plus.star_bivector(biv)
     norm = np.max(np.abs(biv), axis=(1, 2))
-    if np.any(norm <= 0.0):
-        raise _at_point(CalibrationFailure, "degenerate tetrad bivector l ^ mt", mj.cache.points, np.argmax(norm <= 0))
+    require(~(norm <= 0.0), CalibrationFailure, "degenerate tetrad bivector l ^ mt", mj.cache.points)
     sign = 1.0 if np.max(np.abs(starred[0] - biv[0])) / norm[0] < 1e-8 else -1.0  # no point passes both signs
     passed = np.max(np.abs(sign * starred - biv), axis=(1, 2)) / norm < 1e-8  # a nan residual fails
-    if not passed.all():
-        reason = "l ^ mt is not a star eigenvector; tetrad or metric is inconsistent"
-        raise _at_point(CalibrationFailure, reason, mj.cache.points, np.argmin(passed))
+    reason = "l ^ mt is not a star eigenvector; tetrad or metric is inconsistent"
+    require(passed, CalibrationFailure, reason, mj.cache.points)
     return DualOperator(sign=sign, sqrt_det=plus.sqrt_det, g_inv=plus.g_inv)
 
 

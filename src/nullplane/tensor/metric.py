@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import DomainError, KindError, SingularMetric
+from ..errors import DomainError, KindError, SingularMetric, at_point, require, require_finite
 from ..exprkit.ast import COORDS, ONE, ZERO, Expr, as_expr
 from ..exprkit.calculus import mul_, pow_
 from ..exprkit.jets import JetCache, div_coeffs, mul_coeffs, n_coeffs, truncate_coeffs
@@ -137,8 +137,10 @@ class MetricJet:
 
 def metric_jet(spec: MetricSpec, p) -> MetricJet:
     """Evaluate the metric and its partials to second order at the point(s),
-    and its inverse and determinant to first order.  p may be a JetCache."""
+    and its inverse and determinant to first order.  p may be a JetCache.
+    A check that fails names the first point it fails at."""
     cache = JetCache.of(p)
+    pts = cache.points
     order = 2
     M = n_coeffs(order)
 
@@ -153,33 +155,31 @@ def metric_jet(spec: MetricSpec, p) -> MetricJet:
                 g[i, j] = g[j, i] = cache.jet(comps[i][j], order)
         if spec.kind == CONFORMAL_WALKER:
             chi = cache.jet(spec.chi, order)
-            if np.any(chi[0] <= 0.0):
-                raise DomainError("conformal factor must be positive on the sample box", expr=spec.chi)
+            require(~(chi[0] <= 0.0), DomainError, "conformal factor must be positive on the sample box", pts, spec.chi)
             chi2 = mul_coeffs(chi, chi, order, order, order)
             g = mul_coeffs(chi2[None, None], g, order, order, order)
-    finite = np.isfinite(g).all(axis=(2, 3))
+    finite = np.isfinite(g).all(axis=2)  # (4, 4, P)
     if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise DomainError(f"metric component g_{COORDS[i]}{COORDS[j]} or its partials overflowed")
+        row = np.argmin(finite.all(axis=(0, 1)))
+        i, j = np.argwhere(~finite[..., row])[0]
+        raise at_point(DomainError, f"metric component g_{COORDS[i]}{COORDS[j]} or its partials overflowed", pts, row)
 
     g_val = np.moveaxis(g[:, :, 0, :], -1, 0)
     eigs = np.linalg.eigvalsh(g_val)
     scale = np.max(np.abs(eigs), axis=1)
-    if np.any(scale <= 0.0) or np.any(np.min(np.abs(eigs), axis=1) < 1e-10 * scale):
-        raise SingularMetric("metric is numerically singular at a sampled point")
-    if np.any((eigs > 0).sum(axis=1) != 2):
-        raise SingularMetric("metric signature is not (+, +, -, -) at a sampled point")
+    singular = (scale <= 0.0) | (np.min(np.abs(eigs), axis=1) < 1e-10 * scale)
+    require(~singular, SingularMetric, "metric is numerically singular at a sampled point", pts)
+    require((eigs > 0).sum(axis=1) == 2, SingularMetric, "metric signature is not (+, +, -, -) at a sampled point", pts)
 
     # curvature reads g^-1 to one order below g; lower Leibniz coefficients
     # do not depend on the order they are truncated at
     with np.errstate(over="ignore", invalid="ignore"):
         det, adj = det_and_adjugate(truncate_coeffs(g, order, 1), 1)
         g_inv = div_coeffs(adj, det[None, None], 1, 1, 1)
-    if not (np.isfinite(det).all() and np.isfinite(g_inv).all()):
-        raise DomainError("metric determinant or inverse overflowed")
+    require_finite("metric determinant or inverse overflowed", pts, det, g_inv)
 
     ident = np.einsum("pij,pjk->pik", g_val, np.moveaxis(g_inv[:, :, 0, :], -1, 0))
-    if not np.max(np.abs(ident - np.eye(4))) <= 1e-9:  # also when it is nan
-        raise SingularMetric("inverse check failed (ill-conditioned metric)")
+    defect = np.max(np.abs(ident - np.eye(4)), axis=(1, 2))
+    require(defect <= 1e-9, SingularMetric, "inverse check failed (ill-conditioned metric)", pts)  # a nan defect fails
 
     return MetricJet(spec=spec, cache=cache, g=g, g_inv=g_inv, det=det)

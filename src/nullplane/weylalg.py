@@ -28,9 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CalibrationFailure, KindError, RankDeficient
+from .errors import CalibrationFailure, KindError, RankDeficient, require_finite
 from .exprkit.calculus import diff_expr, is_zero_expr
-from .frames import Distribution, walker_tetrad, _as_frame, _generators, _require_finite
+from .frames import Distribution, walker_tetrad, _as_frame, _generators
 from .tensor.curvature import CurvaturePack, curvature
 from .tensor.metric import WALKER, MetricSpec, metric_jet
 
@@ -82,10 +82,12 @@ class CalibrationConstant:
 # quartic extraction
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a coefficient that overflows is rejected at its point
 def weyl_quartic(pack: CurvaturePack, tet) -> dict:
     """The SD and ASD quartic forms at the pack's point(s): {"SD": QuarticForm,
     "ASD": QuarticForm}, each with a leading point axis unless the pack is a
-    single point.
+    single point.  Every pairing enters a coefficient, so a DomainError
+    names the first point where a coefficient is not finite.
 
     tet is a Tetrad, or a frames.Frame at the pack's points.  The reference
     scale is the largest Weyl pairing C(b_i, b_j) over both sides' bivector
@@ -105,6 +107,7 @@ def weyl_quartic(pack: CurvaturePack, tet) -> dict:
     forms = {}
     for side, (p00, p01, p02, p11, p12, p22) in pairings.items():
         coeffs = np.stack([p00, 2.0 * p01, 2.0 * p02 + p11, 2.0 * p12, p22])  # (5, P)
+        require_finite(f"the {side} Weyl quartic overflowed", pack.points, coeffs)
         forms[side] = QuarticForm(side, coeffs.T[point], ref[point])
     return forms
 
@@ -397,7 +400,7 @@ def _rps_of(m: np.ndarray, den: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected at its point
         det, den2 = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], den**2
         out = det / np.maximum(den2, 1e-30)
-    _require_finite("the Ricci discriminant or its normalization overflowed", out, den2)
+    require_finite("the Ricci discriminant or its normalization overflowed", None, out, den2)
     return out
 
 

@@ -24,7 +24,9 @@ _FUNCS = ("exp", "ln", "sin", "cos", "sinh", "cosh")
 # within its tolerance but whose l ^ mt is no star eigenvector, and two
 # residual overflows, a t-field's (reduced from the 10th spec _random_spec
 # draws from the generator seeded 10) and the Ricci discriminant's squared
-# normalization (from the 536th drawn from seed 5)
+# normalization (from the 536th drawn from seed 5); last, a curvature that
+# overflows from finite metric jets (a_uu about 1.7e308), in a walker and in
+# a general walker block without a tetrad
 _WALKER_BLOCK = dict(uu=0, uv=0, ux=1, uy=0, vv=0, vx=0, vy=1, xx="u^2", xy="u", yy="v^2")
 
 
@@ -36,6 +38,9 @@ def _general_walker(yy="v^2", l2=0) -> str:
         + f"[tetrad]\nl0 = 1\nl1 = 0\nl2 = {l2}\nl3 = 0\nn0 = -u^2/2\nn1 = -u/2\nn2 = 1\nn3 = 0\n"
         + f"m0 = u/2\nm1 = ({yy})/2\nm2 = 0\nm3 = -1\nmt0 = 0\nmt1 = 1\nmt2 = 0\nmt3 = 0\n"
     )
+
+
+_STEEP = "sin(1.31e154*u)"
 
 
 FIXED = [
@@ -51,6 +56,11 @@ FIXED = [
     ("tetrad", _general_walker(l2="3e-8")),
     ("residuals", "[metric]\nkind = walker\na = u^2\nb = v^2\nc = u\n[lambda]\nt0 = cos(1e182*u)\nt1 = 1\n"),
     ("residuals", _general_walker(yy="cos(1e99*u)")),
+    ("curvature", f"[metric]\nkind = walker\na = {_STEEP}\nb = v^2\nc = u\n"),
+    (
+        "curvature",
+        "[metric]\nkind = general\n" + "".join(f"g_{key} = {e}\n" for key, e in {**_WALKER_BLOCK, "xx": _STEEP}.items()),
+    ),
 ]
 
 

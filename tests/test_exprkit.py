@@ -297,18 +297,21 @@ def test_antideriv_examples():
 
 def test_antideriv_inverts_derivative():
     """d/dx of the antiderivative gives the input back, for a fixed case and
-    for random polynomials in (x, y) times atoms free of x.  The worst error
-    measured is 1.3e-14 of max(1, |input|); the bound is 1e-13."""
+    for random polynomials in (x, y) times atoms free of x, each also scaled
+    by a factor f far from 1: a small input is not judged by an absolute
+    tolerance.  The worst error measured is 1.3e-14 of f max(1, |input|)
+    at every f; the bound is 1e-13."""
     exp_y, recip = parse_expr("exp(y)"), parse_expr("1/(1 + y^2)")
     cases = [parse_expr("3*x^2*y + exp(y)*x + 2")]
     for seed in range(20):
         p0, p1, p2 = random_polys(seed, 4, ("x", "y"), 3)
         cases.append(p0 + p1 * exp_y + p2 * recip)
     pts = np.random.default_rng(1).uniform(0.5, 1.5, (6, 4))
-    for e in cases:
-        want = eval_scalar(e, pts)
-        back = eval_scalar(diff_expr(antideriv_poly(e, "x"), "x"), pts)
-        assert np.all(np.abs(back - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    for factor in (1.0, 1e-11, 1e-30, 1e20):
+        for e in cases:
+            want = eval_scalar(e, pts)
+            back = eval_scalar(diff_expr(antideriv_poly(Num(factor) * e, "x"), "x"), pts)
+            assert np.all(np.abs(back - factor * want) <= 1e-13 * factor * np.maximum(1.0, np.abs(want))), factor
 
 
 def test_antideriv_differentiates_once(monkeypatch):

@@ -565,7 +565,7 @@ def test_later_stage_error_names_global_sample_and_stage(stage, monkeypatch):
     failing sample by its index in the whole run and the stage.  No
     conformal_walker metric fails only in its walker part or its box, so
     those two are made to fail at the sample with the smallest u."""
-    from nullplane.errors import DomainError
+    from nullplane.errors import DomainError, at_point
     from nullplane.exprkit import parse_expr
     from nullplane.frames import ProjParam
     from nullplane.lab import analyze
@@ -596,10 +596,11 @@ def test_later_stage_error_names_global_sample_and_stage(stage, monkeypatch):
         original = getattr(analyze, name)
 
         def failing(first, *args):
-            # metric_jet(spec, p), box_scalar(pack, chi) or box_scalar(spec, chi, p)
-            at = args[0] if name == "metric_jet" else args[1] if len(args) > 1 else first.points
-            if (stage == "box" or first.kind == "walker") and np.any(np.atleast_2d(at)[:, 0] < lo.mean()):
-                raise DomainError(reason)
+            # metric_jet(spec, cache) or box_scalar(pack, chi), raising as a per-point check does
+            at = args[0].points if name == "metric_jet" else first.points
+            low = np.flatnonzero(at[:, 0] < lo.mean())
+            if (stage == "box" or first.kind == "walker") and low.size:
+                raise at_point(DomainError, reason, at, low[0])
             return original(first, *args)
 
         monkeypatch.setattr(analyze, name, failing)
@@ -607,6 +608,30 @@ def test_later_stage_error_names_global_sample_and_stage(stage, monkeypatch):
         run_analysis(cfg)
     where = f"[at point {pts[index].tolist()}]"
     assert str(info.value) == f"{reason} [at sample {index}, stage {stage.split('-')[0]}] {where}"
+
+
+def test_first_check_to_fail_names_its_first_row(monkeypatch):
+    """The sample named is the first failing row of the first check to fail.
+    a (g_xx) is evaluated before b (g_yy), so the ln in a names its sample
+    i, although b divides by zero at the earlier sample j.  The chunk's
+    metric is evaluated once: no point is evaluated again on its own."""
+    from nullplane.exprkit import parse_expr
+    from nullplane.lab import analyze
+    from nullplane.tensor import MetricSpec
+
+    cfg = AnalysisConfig(spec=MetricSpec.walker(u**2, v**2, u), points=20)
+    pts = sample_points(cfg)
+    i, j = 11, 3
+    a = parse_expr(f"ln((u - {float(pts[i, 0])!r})^2)")
+    cfg.spec = MetricSpec.walker(a, parse_expr(f"1/(v - {float(pts[j, 1])!r})"), u)
+    calls = []
+    original = analyze.metric_jet
+    monkeypatch.setattr(analyze, "metric_jet", lambda spec, p: calls.append(spec) or original(spec, p))
+    with pytest.raises(NullplaneError) as info:
+        run_analysis(cfg)
+    where = f"[at sample {i}, stage metric] [at point {pts[i].tolist()}]"
+    assert str(info.value) == f"ln of non-positive value in subexpression '{a}' {where}"
+    assert len(calls) == 1
 
 
 def test_adapted_middle_coeff_matches_factored_quartic():
@@ -1264,6 +1289,37 @@ def test_spec_file_rejects_sections_and_keys_it_does_not_read(text, section, key
         assert repr(key) in str(err.value)
     assert main(["analyze", "--spec", str(path), "--points", "3"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_COVERED = ";".join(f"u={0.03 * k:.2f}" for k in range(35))  # margins of 0.02 around every 0.03 of u
+
+
+@pytest.mark.parametrize(
+    "args, text, message",
+    [
+        (["--exclude", "v0"], None, "exclude entries look like 'v=0', got 'v0'"),
+        (["--exclude", "z=0"], None, "exclude coordinate 'z' unknown"),
+        (["--exclude", "v=zero"], None, "exclude value in 'v=zero' is not a number"),
+        ([], "[metric\nkind = walker\n", "malformed spec file {path}: "),
+        ([], "[lambda]\nt0 = 0\n", "spec file needs a [metric] section"),
+        ([], GENERAL_SPEC[: GENERAL_SPEC.index("mt3")], "tetrad section needs component mt3"),
+        (["--box", "1"], None, "interval must be 'lo, hi', got '1'"),
+        (["--box", "a,b"], None, "interval bounds in 'a,b' are not numbers"),
+        (["--points", "0"], None, "point count must be positive"),
+        (["--box", "0,1", "--exclude", _COVERED], None, "could not sample the box away from excluded loci"),
+    ],
+    ids=[
+        "exclude-syntax", "exclude-coordinate", "exclude-value", "malformed-file", "no-metric-section",
+        "tetrad-component", "interval-syntax", "interval-bounds", "no-points", "box-excluded",
+    ],
+)
+def test_cli_configuration_errors(args, text, message, tmp_path, capsys):
+    """Each configuration error exits 2 with its message, from a command-line
+    option or from the spec file."""
+    path = tmp_path / "spec.ini"
+    path.write_text(GOOD_SPEC if text is None else text)
+    assert main(["analyze", "--spec", str(path), "--points", "3", *args]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
 
 
 def test_cli_usage_error_exit_code():

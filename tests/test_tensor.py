@@ -160,6 +160,21 @@ def test_signature_rejection():
         metric_jet(euclid, PTS)
 
 
+def test_library_errors_name_the_failing_point():
+    """A per-point check raised outside the pipeline names its first failing
+    point: a metric singular at u = 0, and an ln of a non-positive value."""
+    from nullplane.exprkit import eval_jet
+
+    pts = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0]])
+    spec = MetricSpec.general([[u, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    with pytest.raises(SingularMetric) as info:
+        metric_jet(spec, pts)
+    assert str(info.value) == "metric is numerically singular at a sampled point [at point [0.0, 1.0, 1.0, 1.0]]"
+    with pytest.raises(DomainError) as info:
+        eval_jet(parse_expr("1 + ln(u)"), pts)
+    assert str(info.value) == "ln of non-positive value in subexpression 'ln(u)' [at point [0.0, 1.0, 1.0, 1.0]]"
+
+
 def test_conformal_factor_positivity_enforced():
     spec = MetricSpec.conformal_walker(parse_expr("v - 1"), 0, 0, 0)
     with pytest.raises(DomainError):
