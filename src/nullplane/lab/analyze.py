@@ -74,12 +74,13 @@ def _adapted_middle_coeff(coeffs: np.ndarray, tvals: np.ndarray) -> np.ndarray:
 def _double_root_defect(coeffs: np.ndarray, tvals: np.ndarray, zero_form: np.ndarray) -> np.ndarray:
     """Relative size of the homogeneous-quartic gradient at each direction,
     coeffs (P, 5) and tvals (2, P) or (2, 1); ~0 iff the direction is a root
-    of multiplicity >= 2.  Zero forms (P,) bool give 0."""
+    of multiplicity >= 2.  Zero forms (P,) bool give 0.  Each quartic is
+    scaled to a largest |coefficient| of 1 first, so no term can overflow."""
     t0, t1 = tvals / np.hypot(tvals[0], tvals[1])
-    dq0 = sum(coeffs[:, k] * (4 - k) * t0 ** (3 - k) * t1**k for k in range(4))
-    dq1 = sum(coeffs[:, k] * k * t0 ** (4 - k) * t1 ** (k - 1) for k in range(1, 5))
-    scale = 4.0 * np.maximum(np.max(np.abs(coeffs), axis=1), 1e-30)
-    return np.where(zero_form, 0.0, np.maximum(np.abs(dq0), np.abs(dq1)) / scale)
+    c = coeffs / np.maximum(np.max(np.abs(coeffs), axis=1), 1e-30)[:, None]
+    dq0 = sum(c[:, k] * (4 - k) * t0 ** (3 - k) * t1**k for k in range(4))
+    dq1 = sum(c[:, k] * k * t0 ** (4 - k) * t1 ** (k - 1) for k in range(1, 5))
+    return np.where(zero_form, 0.0, np.maximum(np.abs(dq0), np.abs(dq1)) / 4.0)
 
 
 def _analysis_exprs(cfg: AnalysisConfig) -> tuple:

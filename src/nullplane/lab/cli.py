@@ -22,7 +22,7 @@ from ..families import (
 from ..frames import ProjParam
 from .analyze import run_analysis
 from .config import AnalysisConfig, load_spec_file, parse_exclude, _parse, _parse_interval
-from .report import Report, dumps_reports
+from .report import Report, write_reports
 from .selftest import selftest
 
 
@@ -115,6 +115,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "selftest":
             return selftest(args.fmt)
+        reports: dict[str, Report] = {}
         if args.command == "analyze":
             cfg = load_spec_file(args.spec)
             if args.t0 is not None or args.t1 is not None:
@@ -122,28 +123,24 @@ def main(argv=None) -> int:
                     _parse(args.t0, "t0") if args.t0 is not None else cfg.t_field.t0,
                     _parse(args.t1, "t1") if args.t1 is not None else cfg.t_field.t1,
                 )
-            cfg = _apply_common(cfg, args)
-            report = run_analysis(cfg)
-            print(report.to_json() if args.fmt == "json" else report.to_text())
-            return 0
-        # family
-        instances = _family_instances(args)
-        reports: dict[str, Report] = {}
-        for inst in instances:
-            cfg = AnalysisConfig(
-                spec=inst.spec,
-                t_field=inst.t_field,
-                exclude=parse_exclude(";".join(inst.exclude)),
-                source=f"family:{inst.name}",
-            )
-            cfg = _apply_common(cfg, args)
-            reports[inst.name] = run_analysis(cfg)
+            reports[cfg.source] = run_analysis(_apply_common(cfg, args))
+        else:
+            for inst in _family_instances(args):
+                cfg = AnalysisConfig(
+                    spec=inst.spec,
+                    t_field=inst.t_field,
+                    exclude=parse_exclude(";".join(inst.exclude)),
+                    source=f"family:{inst.name}",
+                )
+                reports[inst.name] = run_analysis(_apply_common(cfg, args))
         if args.fmt == "text":
             print("\n\n".join(r.to_text() for r in reports.values()))
-        elif len(reports) == 1:
-            print(next(iter(reports.values())).to_json())
         else:
-            print(dumps_reports(reports))
+            if len(reports) == 1:
+                next(iter(reports.values())).write(sys.stdout)
+            else:
+                write_reports(sys.stdout, reports)
+            print()
         return 0
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

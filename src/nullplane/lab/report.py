@@ -3,6 +3,7 @@ locally-conformally-two-sided verdict."""
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import time
@@ -16,16 +17,8 @@ from .. import __version__
 from ..weylalg import ROOT_KINDS, RootTable, root_type_string
 
 
-# Most values per run of a record's text, a roots part counting as one.  A
-# run of numbers stays in Python's small-object allocator (512 bytes); one
-# with a roots part can pass it (2 of a walker record's 6 runs, up to 812
-# bytes); walker_bulk's peak RSS read 76.5-77.7 MB over 5 runs.  1000 record
-# strings of 2 kB each raised it by 3-5 MB.
-_RUN = 6
 _SLOT_BASE = 10**20
-# slot i of a template, -(_SLOT_BASE + i), as json.dumps writes it: a raw
-# newline follows it and is in no JSON string, so no string can imitate it;
-# an integer can (see _filled)
+# slot i of a template, -(_SLOT_BASE + i), as json.dumps writes it
 _SLOT = re.compile(r"-(1\d{20})(?=,?\n)")
 
 
@@ -68,27 +61,21 @@ def _root_records(table: RootTable) -> list:
 
 
 def _slot(i: int) -> int:
-    """Placeholder i of a template: a negative integer.  The record and
-    roots templates hold no other integer below zero; a config echo can
-    (an integer box bound), which _filled checks for."""
+    """Placeholder i of a record or roots template: a negative integer.
+    These templates hold no other integer below zero."""
     return -(_SLOT_BASE + i)
 
 
-def _split(doc, depth: int) -> tuple:
+def _layout(doc, depth: int) -> tuple:
     """(pieces, order) of doc in the layout of every report, json.dumps with
     sorted keys and an indent of two spaces, nested depth levels deep: doc
-    holds _slot(i) placeholders; pieces are the text around them and order
-    lists their i as the text meets them.  A JSON string holds no raw
-    newline, so shifting each line break shifts only the layout."""
+    holds _slot(i) placeholders; pieces are the text around them, escaped
+    for %-formatting, and order lists their i as the text meets them.  A
+    JSON string holds no raw newline, so shifting each line break shifts
+    only the layout."""
     text = json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
-    parts = _SLOT.split(text)
+    parts = _SLOT.split(text.replace("%", "%%"))
     return parts[0::2], [int(i) - _SLOT_BASE for i in parts[1::2]]
-
-
-def _layout(doc, depth: int) -> tuple:
-    """_split(doc, depth) with the pieces escaped for %-formatting."""
-    pieces, order = _split(doc, depth)
-    return [piece.replace("%", "%%") for piece in pieces], order
 
 
 def _as_written(col: np.ndarray) -> list:
@@ -163,17 +150,23 @@ class Report:
         return self._document(self.point_records, with_timestamp)
 
     def to_json(self, with_timestamp: bool = True) -> str:
-        doc = self._document(_slot(0), with_timestamp)
-        return _filled(doc, [self._points_pieces(1)], lambda: self.to_dict(with_timestamp))
+        out = io.StringIO()
+        self.write(out, with_timestamp)
+        return out.getvalue()
 
-    def _points_pieces(self, depth: int) -> list:
-        """The points list as json.dumps lays it out at depth, from the
-        columns, as pieces of text: each record in runs of at most _RUN
-        values, each run from one template, a roots part (see _roots_json)
-        being one value."""
+    def write(self, fp, with_timestamp: bool = True) -> None:
+        """Write to the text stream fp what to_json returns, the points
+        record by record."""
+        _write(fp, self._document([], with_timestamp), [self], 1)
+
+    def _write_points(self, fp, depth: int) -> None:
+        """Write the points list as json.dumps lays it out at depth, from the
+        columns: each record from one template, whose slots each have one
+        stream of values, a roots part (see _roots_json) being one value."""
         cols = self.columns
         if not len(cols["point"]):
-            return ["[]"]
+            fp.write("[]")
+            return
         streams = []  # slot i -> its value in every record, as %s writes it
 
         def placeholder(key):  # a slot for the value, or one per item of a row
@@ -188,17 +181,12 @@ class Report:
             return slots if col.ndim == 2 else slots[0]
 
         pieces, order = _layout(_record(cols, placeholder), depth + 1)
-        runs = []  # a piece of every record each
-        for r in range(0, len(order), _RUN):
-            template = "%s".join([pieces[0] if r == 0 else ""] + pieces[r + 1 : r + _RUN + 1])
-            runs.append(list(map(template.__mod__, zip(*(streams[i] for i in order[r : r + _RUN])))))
-        (head, sep, tail), _ = _split([_slot(0)] * 2, depth)
-        out = [head]
-        for record in zip(*runs):
-            out.extend(record)
-            out.append(sep)
-        out[-1] = tail  # the last record's separator
-        return out
+        template = ",\n" + "  " * (depth + 1) + "%s".join(pieces)
+        records = map(template.__mod__, zip(*(streams[i] for i in order)))
+        fp.write("[" + next(records)[1:])  # the first record has no comma before it
+        for record in records:
+            fp.write(record)
+        fp.write("\n" + "  " * depth + "]")
 
     def to_text(self) -> str:
         lines = [f"nullplane {__version__} analysis of {self.config.get('source', '?')}"]
@@ -221,24 +209,23 @@ class Report:
         return "\n".join(lines)
 
 
-def dumps_reports(reports: dict) -> str:
-    """{name: report} as json.dumps lays out {name: report.to_dict()}, with
-    each report's points written from its columns."""
-    docs = {name: r._document(_slot(i), True) for i, (name, r) in enumerate(reports.items())}
-    parts = [r._points_pieces(2) for r in reports.values()]
-    return _filled(docs, parts, lambda: {name: r.to_dict() for name, r in reports.items()})
+def write_reports(fp, reports: dict) -> None:
+    """Write {name: report} to the text stream fp as json.dumps lays out
+    {name: report.to_dict()}, each report's points from its columns."""
+    docs = {name: r._document([], True) for name, r in reports.items()}
+    _write(fp, docs, [reports[name] for name in sorted(reports)], 2)
 
 
-def _filled(doc, parts: list, whole) -> str:
-    """doc laid out by json.dumps, with the pieces of text parts[i] in place
-    of _slot(i).  Each slot is in the text once, so more slots found than
-    placed means a value of doc reads as one; then whole(), doc with the
-    records in place of the slots, is laid out instead."""
-    pieces, order = _split(doc, 0)
-    if len(order) != len(parts):
-        return json.dumps(whole(), sort_keys=True, indent=2)
-    out = [pieces[0]]
-    for i, literal in zip(order, pieces[1:]):
-        out.extend(parts[i])
-        out.append(literal)
-    return "".join(out)
+def _write(fp, doc, reports: list, depth: int) -> None:
+    """Write doc as json.dumps lays it out to fp, with the points of each
+    report of reports, in the order of the text, in place of each empty
+    "points" list depth levels deep.  A JSON string holds no raw newline,
+    so that line at that indent is a document's own key, never one nested
+    deeper in its config or flags."""
+    line = "\n" + "  " * depth + '"points": '
+    pieces = json.dumps(doc, sort_keys=True, indent=2).split(line + "[]")
+    fp.write(pieces[0])
+    for report, piece in zip(reports, pieces[1:]):
+        fp.write(line)
+        report._write_points(fp, depth)
+        fp.write(piece)

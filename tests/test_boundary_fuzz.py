@@ -56,6 +56,8 @@ FIXED = [
     ("tetrad", _general_walker(l2="3e-8")),
     ("residuals", "[metric]\nkind = walker\na = u^2\nb = v^2\nc = u\n[lambda]\nt0 = cos(1e182*u)\nt1 = 1\n"),
     ("residuals", _general_walker(yy="cos(1e99*u)")),
+    # quartic coefficients near 1e308: the direction defect must not overflow first
+    ("residuals", "[metric]\nkind = walker\na = sin(6.958e153*u)\nb = v^2\nc = u\n"),
     ("curvature", f"[metric]\nkind = walker\na = {_STEEP}\nb = v^2\nc = u\n"),
     (
         "curvature",

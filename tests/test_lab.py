@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import re
@@ -11,6 +12,7 @@ from nullplane.exprkit import u, v, x, y
 from nullplane.families import mk_cp_example, mk_ricci_null, mk_sd_two_sided, mk_two_sided, mk_walker, random_polys
 from nullplane.lab import AnalysisConfig, load_spec_file, run_analysis, sample_points
 from nullplane.lab.cli import main
+from nullplane.lab.report import write_reports
 from conftest import GENERAL_SPEC, sample_box
 
 GOOD_SPEC = """
@@ -864,7 +866,7 @@ def test_report_outputs_are_the_bytes_of_json_dumps(monkeypatch, tmp_path, capsy
         inst.name: run_analysis(AnalysisConfig(spec=inst.spec, t_field=t_field, points=5, exclude=(("v", 0.0),)))
         for inst in (g_inst, h_inst)
     }
-    text = report_mod.dumps_reports(pair)
+    text = _write_reports(pair)
     assert digest(text) == digest(as_json_dumps({name: r.to_dict() for name, r in pair.items()}))
 
     monkeypatch.setattr(selftest_mod, "CRITERIA", selftest_mod.CRITERIA[1:])
@@ -883,6 +885,7 @@ def test_report_outputs_are_the_bytes_of_json_dumps(monkeypatch, tmp_path, capsy
         "-100000000000000000000\n",
         "\x000\x00",
         "%s %% \x001\x00",
+        'x\n  "points": []\n    "points": [],',
     ],
 )
 def test_report_strings_that_look_like_template_slots(source, monkeypatch):
@@ -905,6 +908,28 @@ def test_report_integer_box_bounds_that_look_like_template_slots(bound, monkeypa
     _assert_laid_out_as_json_dumps(report, "a", monkeypatch)
 
 
+@pytest.mark.parametrize("where", ["config", "nested config", "flags"])
+def test_report_points_keys_below_the_documents_own(where, monkeypatch):
+    """An empty "points" list in the config echo or in the flags is written
+    as json.dumps writes it: the writer puts the records only at the
+    document's own "points" line, which sits at a shallower indent."""
+    report = run_analysis(AnalysisConfig(spec=mk_walker(u**2, v**2, u).spec, points=3))
+    if where == "config":
+        report = dataclasses.replace(report, config={**report.config, "points": []})
+    elif where == "nested config":
+        report = dataclasses.replace(report, config={**report.config, "box": {"points": [], "x": {"points": []}}})
+    else:
+        report = dataclasses.replace(report, flags={**report.flags, "points": []})
+    _assert_laid_out_as_json_dumps(report, "points", monkeypatch)
+
+
+def _write_reports(reports: dict) -> str:
+    """What write_reports writes of reports, as one string."""
+    out = io.StringIO()
+    write_reports(out, reports)
+    return out.getvalue()
+
+
 def _assert_laid_out_as_json_dumps(report, name, monkeypatch):
     """to_json, and the cp-pair writer with the report under name and "b",
     give the bytes json.dumps lays out from to_dict()."""
@@ -912,7 +937,7 @@ def _assert_laid_out_as_json_dumps(report, name, monkeypatch):
 
     monkeypatch.setattr(report_mod.time, "strftime", lambda fmt, t: "2026-01-01T00:00:00Z")
     assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True, indent=2)
-    pair = report_mod.dumps_reports({name: report, "b": report})
+    pair = _write_reports({name: report, "b": report})
     assert pair == json.dumps({name: report.to_dict(), "b": report.to_dict()}, sort_keys=True, indent=2)
 
 
@@ -921,7 +946,7 @@ def test_report_written_from_hand_built_columns():
     and entry kind, some with non-finite or negative-zero values: to_json
     and the cp-pair writer give the bytes json.dumps writes of the records
     the columns make."""
-    from nullplane.lab.report import Report, dumps_reports
+    from nullplane.lab.report import Report
     from nullplane.weylalg import RootTable
 
     nan, inf = math.nan, math.inf
@@ -974,7 +999,7 @@ def test_report_written_from_hand_built_columns():
         {"kind": "real", "value": -0.0, "multiplicity": 3},
     ]
     assert report.to_json(with_timestamp=False) == json.dumps(report.to_dict(with_timestamp=False), sort_keys=True, indent=2)
-    text = dumps_reports({"a": report, "b": report})
+    text = _write_reports({"a": report, "b": report})
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
     assert json.dumps(json.loads(text)["b"]["points"], sort_keys=True) == json.dumps(report.point_records, sort_keys=True)
     # the same columns as float arrays, as run_analysis hands them over
@@ -982,7 +1007,7 @@ def test_report_written_from_hand_built_columns():
     as_arrays = Report(report.config, None, arrays, report.flags, "no", "hand-built")
     assert as_arrays.to_json(with_timestamp=False) == report.to_json(with_timestamp=False)
     stamp = re.compile(r'"generated_at": "[^"]*"')
-    assert stamp.sub("", dumps_reports({"a": as_arrays, "b": as_arrays})) == stamp.sub("", text)
+    assert stamp.sub("", _write_reports({"a": as_arrays, "b": as_arrays})) == stamp.sub("", text)
     assert as_arrays.to_text() == report.to_text()
 
 
@@ -1134,6 +1159,33 @@ def test_analyses_leave_no_memory_behind():
     finally:
         tracemalloc.stop()
     assert traced[1] - traced[0] < 1_000_000
+
+
+def test_report_writer_holds_less_than_its_output():
+    """Report.write holds the columns' value streams and one record at a
+    time: writing a P=1000 walker report into a sink that keeps nothing
+    traces a peak of at most 1.2 times the output's length (0.93 for this
+    report; building the whole text first, as one string, traces 2.2)."""
+    import tracemalloc
+
+    spec = mk_walker(u**2 * x + y * v, v**2 + x * y, u * v + x).spec
+    report = run_analysis(AnalysisConfig(spec=spec, points=1000))
+
+    class Sink:
+        length = 0
+
+        def write(self, text):
+            self.length += len(text)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        report.write(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.length == len(report.to_json())
+    assert peak <= 1.2 * sink.length
 
 
 def test_cli_closed_stdout_exits_141():
